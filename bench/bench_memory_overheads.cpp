@@ -4,6 +4,7 @@
 // part of the suite and compares against the store-everything configuration.
 #include "bench/bench_util.h"
 #include "optimizer/plan_memory.h"
+#include "pqo/scr.h"
 
 using namespace scrpqo;
 using namespace scrpqo::bench;

@@ -58,13 +58,14 @@ GlFactors ComputeGl(const std::vector<double>& from,
 /// so results agree only to ~1 ulp — use ComputeGl where bit-exact
 /// G/L identities are asserted, ComputeGlFast on the getPlan hot loop
 /// (every consumer there compares against thresholds with slack).
+///
+/// This form reads `n` selectivities from each of two raw rows, so the
+/// selectivity check can scan a flat stride-d array of stored vectors; the
+/// vector form below runs the identical arithmetic.
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
 SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
-inline GlFactors ComputeGlFast(const std::vector<double>& from,
-                               const std::vector<double>& to) noexcept {
-  const size_t n = from.size();
-  const double* f = from.data();
-  const double* t = to.data();
+inline GlFactors ComputeGlFast(const double* f, const double* t,
+                               size_t n) noexcept {
   const Vec4dScalar one(1.0);
   const Vec4dScalar floor_v(kSelectivityFloor);
   Vec4dScalar g4(1.0);
@@ -89,6 +90,14 @@ inline GlFactors ComputeGlFast(const std::vector<double>& from,
     if (r < 1.0) out.l /= r;
   }
   return out;
+}
+
+/// ComputeGlFast over `from.size()` dimensions of two selectivity vectors.
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
+SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
+inline GlFactors ComputeGlFast(const std::vector<double>& from,
+                               const std::vector<double>& to) noexcept {
+  return ComputeGlFast(from.data(), to.data(), from.size());
 }
 
 /// Euclidean distance between two selectivity vectors.

@@ -31,11 +31,4 @@ int64_t PlanMemoryBytes(const PhysicalPlanNode& plan) {
   return bytes;
 }
 
-int64_t InstanceEntryBytes(int dimensions) {
-  // V (d doubles) + PP (pointer) + C + S (doubles) + U (int64) + flags,
-  // plus vector header overhead — the paper's "~100 bytes".
-  return static_cast<int64_t>(sizeof(double)) * dimensions + 8 + 8 + 8 + 8 +
-         24;
-}
-
 }  // namespace scrpqo

@@ -14,8 +14,4 @@ namespace scrpqo {
 /// child vectors, predicate specs and strings.
 int64_t PlanMemoryBytes(const PhysicalPlanNode& plan);
 
-/// Estimated bytes of one instance-list entry with dimensionality d
-/// (the 5-tuple <V, PP, C, S, U> of Section 6.1).
-int64_t InstanceEntryBytes(int dimensions);
-
 }  // namespace scrpqo

@@ -51,25 +51,7 @@ void InstanceKdTree::Insert(int64_t id, const SVector& sv) {
   node->point = std::move(point);
   node->split_dim = depth % dimensions_;
   *slot = std::move(node);
-  ++live_count_;
-}
-
-void InstanceKdTree::Remove(int64_t id) {
-  // Lazy deletion: walk the whole tree (removals are rare — budget
-  // evictions only).
-  std::vector<Node*> stack;
-  if (root_) stack.push_back(root_.get());
-  while (!stack.empty()) {
-    Node* n = stack.back();
-    stack.pop_back();
-    if (n->id == id && n->live) {
-      n->live = false;
-      --live_count_;
-      return;
-    }
-    if (n->left) stack.push_back(n->left.get());
-    if (n->right) stack.push_back(n->right.get());
-  }
+  ++size_;
 }
 
 std::vector<InstanceKdTree::Match> InstanceKdTree::RangeQuery(

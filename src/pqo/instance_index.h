@@ -36,11 +36,9 @@ class InstanceKdTree {
   explicit InstanceKdTree(int dimensions);
 
   /// Inserts a stored instance's selectivity vector under `id` (an opaque
-  /// caller key, e.g. the instance-list position).
+  /// caller key, e.g. the instance-list position). There is no removal: a
+  /// caller whose keys change rebuilds the tree.
   void Insert(int64_t id, const SVector& sv);
-
-  /// Marks an entry dead (lazily skipped by queries).
-  void Remove(int64_t id);
 
   struct Match {
     int64_t id = -1;
@@ -48,7 +46,7 @@ class InstanceKdTree {
     double log_gl = 0.0;
   };
 
-  /// Appends all live entries with G*L <= gl_bound for `sv` to `out`,
+  /// Appends all entries with G*L <= gl_bound for `sv` to `out`,
   /// unordered. `OutVec` is any Match container with push_back (ArenaVec
   /// on the hot path). Query scratch comes from the calling thread's
   /// ScratchArena, so an enclosing Scope must be active when `out` is an
@@ -65,7 +63,7 @@ class InstanceKdTree {
     nodes_visited_.Store(visited);
   }
 
-  /// Appends the `k` live entries with smallest G*L for `sv` to `out`,
+  /// Appends the `k` entries with smallest G*L for `sv` to `out`,
   /// ascending. This is the cost-check candidate stream. Same scratch
   /// contract as RangeQueryInto; `out` must be empty on entry (it is used
   /// as the working heap).
@@ -86,13 +84,13 @@ class InstanceKdTree {
               });
   }
 
-  /// All live entries with G*L <= gl_bound for `sv`, unordered.
+  /// All entries with G*L <= gl_bound for `sv`, unordered.
   std::vector<Match> RangeQuery(const SVector& sv, double gl_bound) const;
 
-  /// The `k` live entries with smallest G*L for `sv`, ascending.
+  /// The `k` entries with smallest G*L for `sv`, ascending.
   std::vector<Match> NearestByGl(const SVector& sv, int k) const;
 
-  int64_t size() const { return live_count_; }
+  int64_t size() const { return size_; }
 
   /// Nodes visited by the last query (instrumentation for the pruning
   /// claim: visits << size once the tree is populated). Each query counts
@@ -105,7 +103,6 @@ class InstanceKdTree {
     int64_t id;
     std::vector<double> point;  // log-selectivities
     int split_dim = 0;
-    bool live = true;
     std::unique_ptr<Node> left, right;
   };
 
@@ -125,7 +122,7 @@ class InstanceKdTree {
       dist += std::fabs(q[i] - node->point[i]);
       if (dist > bound) break;
     }
-    if (node->live && dist <= bound) {
+    if (dist <= bound) {
       out->push_back(Match{node->id, dist});
     }
     int dim = node->split_dim;
@@ -156,8 +153,7 @@ class InstanceKdTree {
     auto cmp = [](const Match& a, const Match& b) {
       return a.log_gl < b.log_gl;  // max-heap on distance
     };
-    if (node->live &&
-        (static_cast<int>(heap->size()) < k || dist < worst())) {
+    if (static_cast<int>(heap->size()) < k || dist < worst()) {
       heap->push_back(Match{node->id, dist});
       std::push_heap(heap->begin(), heap->end(), cmp);
       if (static_cast<int>(heap->size()) > k) {
@@ -178,7 +174,7 @@ class InstanceKdTree {
 
   int dimensions_;
   std::unique_ptr<Node> root_;
-  int64_t live_count_ = 0;
+  int64_t size_ = 0;
   mutable RelaxedCounter<int64_t> nodes_visited_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "pqo/plan_store.h"
 
+#include <algorithm>
 #include <limits>
 #include <span>
 
@@ -23,7 +24,7 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     return result;
   }
 
-  if (lambda_r >= 1.0 && num_live_ > 0) {
+  if (lambda_r >= 1.0 && !live_ids_.empty()) {
     // Redundancy check: one batched Recost sweep over the live cached
     // plans (one sVector bind, N program scans — grouped 4-lane bundle
     // passes when every live plan is packed, pipelined blocks otherwise).
@@ -33,18 +34,11 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     // guarantee is unaffected by not scanning the tail.
     ScratchArena& arena = ScratchArena::Tls();
     ScratchArena::Scope scope(arena);
-    ArenaVec<const CachedPlan*> live_plans(
-        arena, static_cast<size_t>(num_live_));
-    ArenaVec<int> live_ids(arena, static_cast<size_t>(num_live_));
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].live) continue;
-      live_plans.push_back(entries_[i].plan.get());
-      live_ids.push_back(static_cast<int>(i));
-    }
-    ArenaVec<double> costs(arena, live_plans.size());
-    costs.resize(live_plans.size());
+    const size_t n = live_ids_.size();
+    ArenaVec<double> costs(arena, n);
+    costs.resize(n);
     double min_cost = std::numeric_limits<double>::infinity();
-    size_t min_pos = live_plans.size();
+    size_t min_pos = n;
     double early_exit_below =
         opt_cost > 0.0 ? lambda_r * opt_cost
                        : -std::numeric_limits<double>::infinity();
@@ -57,19 +51,22 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     };
     std::span<double> cost_span(costs.data(), costs.size());
     if (BundleComplete()) {
-      engine->RecostBundled(
-          bundle_, std::span<const int>(live_ids.data(), live_ids.size()),
-          sv, cost_span, sweep_visitor);
+      engine->RecostBundled(bundle_, std::span<const int>(live_ids_), sv,
+                            cost_span, sweep_visitor);
     } else {
+      ArenaVec<const CachedPlan*> live_plans(arena, n);
+      for (int id : live_ids_) {
+        live_plans.push_back(entries_[static_cast<size_t>(id)].plan.get());
+      }
       engine->RecostMany(
           std::span<const CachedPlan* const>(live_plans.data(),
                                              live_plans.size()),
           sv, cost_span, sweep_visitor);
     }
-    if (min_pos < live_plans.size() && opt_cost > 0.0) {
+    if (min_pos < n && opt_cost > 0.0) {
       double s_min = min_cost / opt_cost;
       if (s_min <= lambda_r) {
-        result.plan_id = live_ids[min_pos];
+        result.plan_id = live_ids_[min_pos];
         result.subopt = s_min;
         result.reused_existing = true;
         return result;
@@ -85,11 +82,11 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   entries_.push_back(std::move(e));
   int id = static_cast<int>(entries_.size()) - 1;
   by_signature_[plan.signature] = id;
-  ++num_live_;
-  peak_ = std::max(peak_, num_live_);
+  live_ids_.push_back(id);
+  peak_ = std::max(peak_, NumLive());
   // Pack the stored plan's program into the SIMD bundle. The program's
-  // address is stable: entries are never erased (Drop only marks dead)
-  // and the CachedPlan sits behind a shared_ptr.
+  // address is stable: the CachedPlan sits behind a shared_ptr that Drop
+  // releases only after unpacking it from the bundle.
   if (!bundle_.Add(id, &entries_[static_cast<size_t>(id)].plan->program)) {
     ++num_unbundled_;
   }
@@ -98,36 +95,32 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   return result;
 }
 
-std::vector<int> PlanStore::LivePlanIds() const {
-  std::vector<int> ids;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].live) ids.push_back(static_cast<int>(i));
-  }
-  return ids;
-}
-
 void PlanStore::Drop(int plan_id) {
   Entry& e = entry(plan_id);
   SCRPQO_CHECK(e.live, "dropping a plan that is not live");
   e.live = false;
-  --num_live_;
+  live_ids_.erase(
+      std::lower_bound(live_ids_.begin(), live_ids_.end(), plan_id));
   by_signature_.erase(e.plan->signature);
   if (bundle_.Contains(plan_id)) {
     bundle_.Remove(plan_id);
   } else {
     --num_unbundled_;
   }
+  // The bundle no longer points into the program: the store's reference
+  // is the last one unless a caller still holds the plan.
+  e.plan.reset();
 }
 
 int PlanStore::MinUsagePlanId(int exclude_plan_id) const {
   int best = -1;
   int64_t best_usage = std::numeric_limits<int64_t>::max();
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].live) continue;
-    if (static_cast<int>(i) == exclude_plan_id) continue;
-    if (entries_[i].total_usage.value() < best_usage) {
-      best_usage = entries_[i].total_usage.value();
-      best = static_cast<int>(i);
+  for (int id : live_ids_) {
+    if (id == exclude_plan_id) continue;
+    const int64_t usage = entries_[static_cast<size_t>(id)].total_usage.value();
+    if (usage < best_usage) {
+      best_usage = usage;
+      best = id;
     }
   }
   return best;

@@ -7,6 +7,11 @@
 // owning technique's shared (read) lock, so usage counters are relaxed
 // atomics; all structural mutation (StoreOrReuse/Drop) happens under the
 // exclusive lock.
+//
+// Plan ids are handed out in increasing order and never reused. The store
+// keeps the live ids in an ascending list, so every live-plan sweep (LFU
+// victim search, redundancy check, snapshots) costs the live cache, not
+// the number of plans ever stored.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,8 @@ namespace scrpqo {
 class PlanStore {
  public:
   struct Entry {
+    /// Released by Drop: a dropped plan lives on only while a caller
+    /// still holds the PlanChoice that served it.
     std::shared_ptr<const CachedPlan> plan;
     /// Aggregate usage across instance entries pointing at this plan (for
     /// LFU eviction under a plan budget). Bumped from the concurrent
@@ -57,7 +64,8 @@ class PlanStore {
                            EngineContext* engine);
 
   /// Bounds-checked entry access. Dead entries remain readable (callers
-  /// filter on `.live`); only ids never handed out by StoreOrReuse abort.
+  /// filter on `.live`; their `plan` is null); only ids never handed out
+  /// by StoreOrReuse abort.
   const Entry& entry(int plan_id) const {
     CheckId(plan_id);
     return entries_[static_cast<size_t>(plan_id)];
@@ -73,11 +81,13 @@ class PlanStore {
     entries_[static_cast<size_t>(plan_id)].total_usage.Add(delta);
   }
 
-  /// Live plan ids.
-  std::vector<int> LivePlanIds() const;
+  /// Live plan ids, ascending. Invalidated by StoreOrReuse and Drop, so a
+  /// caller that drops plans while iterating must iterate a copy.
+  const std::vector<int>& LivePlanIds() const { return live_ids_; }
 
-  /// Marks a plan dead (budget eviction). The caller is responsible for
-  /// removing instance entries that point at it.
+  /// Marks a plan dead (budget eviction) and releases the store's
+  /// reference to it. The caller is responsible for removing instance
+  /// entries that point at it.
   void Drop(int plan_id);
 
   /// Live plan with the minimum total usage (LFU victim), -1 if none.
@@ -91,7 +101,7 @@ class PlanStore {
   /// signatures, since plan ids are store-local) back into ids.
   int FindLiveBySignature(uint64_t signature) const;
 
-  int64_t NumLive() const { return num_live_; }
+  int64_t NumLive() const { return static_cast<int64_t>(live_ids_.size()); }
   int64_t Peak() const { return peak_; }
 
   /// The SIMD recost bundle packing the live plans' flat programs,
@@ -121,7 +131,9 @@ class PlanStore {
 
   std::vector<Entry> entries_;
   std::map<uint64_t, int> by_signature_;
-  int64_t num_live_ = 0;
+  /// Live plan ids, ascending (ids are monotonic, so StoreOrReuse
+  /// appends).
+  std::vector<int> live_ids_;
   int64_t peak_ = 0;
   RecostBundle bundle_;
   /// Live plans RecostBundle::Add rejected (see BundleComplete).

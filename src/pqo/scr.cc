@@ -21,7 +21,48 @@ namespace {
 /// Tolerance when classifying a cost-check observation as a BCG/PCM
 /// violation (Appendix G); absorbs floating-point noise.
 constexpr double kViolationSlack = 1.02;
+
+/// Widens the k-d tree's range query past the loosest selectivity bound so
+/// the tree's log-space distance, which can differ from G*L in the last
+/// ulp, never drops an entry the exact check would accept.
+constexpr double kIndexEnvelopeSlack = 1.0 + 1e-9;
+
+/// A cost-check candidate: an entry that failed the selectivity check.
+/// `key` orders candidates under the configured CostCheckOrder.
+struct Candidate {
+  double key;
+  double gl;
+  double l;
+  size_t entry;
+};
+
+/// Orders the first `n` candidates by (key, instance-list position) and
+/// keeps the first `cap` of them (all when `cap` <= 0); returns the number
+/// kept. Only the kept prefix is sorted.
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_NOTHROW
+SCRPQO_LOCK_BOUNDED()
+size_t SelectTopCandidates(Candidate* first, size_t n, int cap) noexcept {
+  auto before = [](const Candidate& a, const Candidate& b) {
+    return a.key < b.key || (a.key == b.key && a.entry < b.entry);
+  };
+  if (cap > 0 && static_cast<size_t>(cap) < n) {
+    std::partial_sort(first, first + cap, first + n, before);
+    return static_cast<size_t>(cap);
+  }
+  std::sort(first, first + n, before);
+  return n;
+}
 }  // namespace
+
+// The accounting below must track the real layout: V as d doubles in the
+// flat array, the rest in InstanceMeta.
+static_assert(sizeof(Scr::InstanceMeta) == 32,
+              "InstanceMeta layout changed: review InstanceEntryBytes");
+
+int64_t InstanceEntryBytes(int dimensions) {
+  return static_cast<int64_t>(sizeof(double)) * dimensions +
+         static_cast<int64_t>(sizeof(Scr::InstanceMeta));
+}
 
 Scr::Scr(ScrOptions options) : options_(options) {
   SCRPQO_CHECK(options_.lambda >= 1.0, "lambda must be >= 1");
@@ -30,16 +71,16 @@ Scr::Scr(ScrOptions options) : options_(options) {
                             : std::sqrt(options_.lambda);
 }
 
-double Scr::RegionArea(const InstanceEntry& e) const {
+double Scr::RegionArea(size_t i) const {
   // Proportional to the paper's ((lambda-1)/lambda) * ln(lambda) * prod(s_i)
   // formula (Section 5.3); the lambda factor is shared across entries under
   // a static bound, so the selectivity product alone orders entries.
   double area = 1.0;
-  for (double s : e.v) area *= s;
+  for (const double* v = VOf(i); v != VOf(i) + dims_; ++v) area *= *v;
   return area;
 }
 
-double Scr::LambdaFor(const InstanceEntry& e) const {
+double Scr::LambdaFor(const InstanceMeta& e) const {
   if (!options_.dynamic_lambda) return options_.lambda;
   double c_ref =
       cost_count_ > 0 ? cost_sum_ / static_cast<double>(cost_count_) : 1.0;
@@ -105,14 +146,6 @@ void Scr::EmitEvent(DecisionEvent event, int instance_id,
     }
   }
   EmitDecisionEvent(obs_.tracer, std::move(event));
-}
-
-int64_t Scr::NumInstancesStored() const {
-  int64_t n = 0;
-  for (const auto& e : instances_) {
-    if (e.live) ++n;
-  }
-  return n;
 }
 
 PlanChoice Scr::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
@@ -222,137 +255,108 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   ScratchArena::Scope arena_scope(arena);
 
   // ---- Selectivity check (Algorithm 1, first loop) ----
-  // While scanning, collect cost-check candidates in increasing GL order
-  // (Section 6.2 heuristic: small GL is most likely to pass).
-  struct Candidate {
-    double gl;
-    size_t entry;
-    double l;
-  };
+  // While scanning, collect the entries that fail it as cost-check
+  // candidates. Both paths serve the first passing entry in list order.
+  const double* q = sv.data();
   ArenaVec<Candidate> candidates(arena);
+  auto offer = [&](size_t i, GlFactors gl) {
+    const InstanceMeta& e = instances_[i];
+    if (!options_.enable_cost_check || e.cost_check_disabled.value()) return;
+    double key = 0.0;
+    switch (options_.cost_check_order) {
+      case CostCheckOrder::kAscendingGl:
+        // Section 6.2 heuristic: small GL is most likely to pass.
+        key = gl.g * gl.l;
+        break;
+      case CostCheckOrder::kDescendingRegionArea:
+        // Area of the selectivity-based region grows with the product of
+        // the entry's selectivities (Section 5.3); bigger regions are
+        // broader matches, so try them first.
+        key = -RegionArea(i);
+        break;
+      case CostCheckOrder::kDescendingUsage:
+        key = -static_cast<double>(e.usage.value());
+        break;
+      case CostCheckOrder::kInsertionOrder:
+        break;  // list position alone orders the candidates
+    }
+    candidates.push_back(Candidate{key, gl.g * gl.l, gl.l, i});
+  };
   if (options_.use_spatial_index && index_ != nullptr) {
     // Spatial path (Section 6.2): log(G*L) is the L1 distance in
     // log-selectivity space, so the selectivity check is a range query with
     // the loosest possible per-entry bound (lambda; entry sub-optimality
-    // only tightens it), verified per hit.
+    // only tightens it), verified per hit with the scan's arithmetic.
     double envelope =
         options_.dynamic_lambda ? options_.lambda_max : options_.lambda;
     StageTimer probe_timer(Stage::kIndexProbe,
                            stage_hists_[Stage::kIndexProbe]);
     ArenaVec<InstanceKdTree::Match> matches(arena);
-    index_->RangeQueryInto(sv, envelope, &matches);
+    index_->RangeQueryInto(sv, envelope * kIndexEnvelopeSlack, &matches);
     probe_timer.Stop();
     StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
+    size_t hit = instances_.size();
+    GlFactors hit_gl;
     for (const auto& m : matches) {
-      InstanceEntry& e = instances_[static_cast<size_t>(m.id)];
-      if (!e.live) continue;
-      if (std::exp(m.log_gl) <= LambdaFor(e) / e.subopt) {
-        e.usage.Add(1);
-        store_.AddUsage(e.plan_id, 1);
-        choice.plan = store_.entry(e.plan_id).plan;
-        sel_timer.Stop();
-        if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
-          DecisionEvent ev;
-          ev.outcome = DecisionOutcome::kSelCheckHit;
-          ev.matched_entry = static_cast<int32_t>(m.id);
-          ev.subopt = e.subopt;
-          ev.lambda = LambdaFor(e);
-          if (obs_.tracer != nullptr) {
-            GlFactors gl = ComputeGlFast(e.v, sv);
-            ev.g = gl.g;
-            ev.l = gl.l;
-          }
-          EmitEvent(std::move(ev), wi.id, start);
-        }
-        return true;
+      const size_t i = static_cast<size_t>(m.id);
+      if (i >= hit) continue;
+      const InstanceMeta& e = instances_[i];
+      GlFactors gl = ComputeGlFast(VOf(i), q, dims_);
+      if (gl.g * gl.l <= LambdaFor(e) / e.subopt) {
+        hit = i;
+        hit_gl = gl;
       }
     }
     sel_timer.Stop();
+    if (hit < instances_.size()) {
+      ServeSelHit(hit, hit_gl, wi.id, start, &choice);
+      return true;
+    }
     if (options_.enable_cost_check) {
-      // Nearest-by-GL sweep; overfetch to survive the disabled-entry
-      // filter.
-      int want = options_.max_cost_check_candidates > 0
-                     ? options_.max_cost_check_candidates
-                     : static_cast<int>(instances_.size());
+      // Nearest-by-GL sweep, overfetching until `want` enabled entries
+      // came back or the tree ran out: disabled entries are skipped.
+      const size_t want = options_.max_cost_check_candidates > 0
+                              ? static_cast<size_t>(
+                                    options_.max_cost_check_candidates)
+                              : instances_.size();
       StageTimer near_timer(Stage::kIndexProbe,
                             stage_hists_[Stage::kIndexProbe]);
       ArenaVec<InstanceKdTree::Match> nearest(arena);
-      index_->NearestByGlInto(sv, 2 * want + 4, &nearest);
+      for (size_t fetch = 2 * want + 4;; fetch *= 2) {
+        nearest.clear();
+        index_->NearestByGlInto(sv, static_cast<int>(fetch), &nearest);
+        size_t enabled = 0;
+        for (const auto& m : nearest) {
+          if (!instances_[static_cast<size_t>(m.id)]
+                   .cost_check_disabled.value()) {
+            ++enabled;
+          }
+        }
+        if (enabled >= want || nearest.size() < fetch) break;
+      }
       near_timer.Stop();
       for (const auto& m : nearest) {
-        InstanceEntry& e = instances_[static_cast<size_t>(m.id)];
-        if (!e.live || e.cost_check_disabled.value()) continue;
-        candidates.push_back(Candidate{std::exp(m.log_gl),
-                                       static_cast<size_t>(m.id),
-                                       ComputeGlFast(e.v, sv).l});
+        const size_t i = static_cast<size_t>(m.id);
+        offer(i, ComputeGlFast(VOf(i), q, dims_));
       }
     }
   } else {
     StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
     for (size_t i = 0; i < instances_.size(); ++i) {
-      InstanceEntry& e = instances_[i];
-      if (!e.live) continue;
-      GlFactors gl = ComputeGlFast(e.v, sv);
-      double g = gl.g;
-      double l = gl.l;
-      double bound = LambdaFor(e) / e.subopt;
-      if (g * l <= bound) {
-        e.usage.Add(1);
-        store_.AddUsage(e.plan_id, 1);
-        choice.plan = store_.entry(e.plan_id).plan;
+      const InstanceMeta& e = instances_[i];
+      GlFactors gl = ComputeGlFast(VOf(i), q, dims_);
+      if (gl.g * gl.l <= LambdaFor(e) / e.subopt) {
         sel_timer.Stop();
-        if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
-          DecisionEvent ev;
-          ev.outcome = DecisionOutcome::kSelCheckHit;
-          ev.matched_entry = static_cast<int32_t>(i);
-          ev.g = g;
-          ev.l = l;
-          ev.subopt = e.subopt;
-          ev.lambda = LambdaFor(e);
-          EmitEvent(std::move(ev), wi.id, start);
-        }
+        ServeSelHit(i, gl, wi.id, start, &choice);
         return true;
       }
-      if (options_.enable_cost_check && !e.cost_check_disabled.value()) {
-        candidates.push_back(Candidate{g * l, i, l});
-      }
+      offer(i, gl);
     }
   }
 
   // ---- Cost check (Algorithm 1, second loop) ----
-  switch (options_.cost_check_order) {
-    case CostCheckOrder::kAscendingGl:
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.gl < b.gl;
-                });
-      break;
-    case CostCheckOrder::kDescendingRegionArea:
-      // Area of the selectivity-based region grows with the product of the
-      // entry's selectivities (Section 5.3); bigger regions are broader
-      // matches, so try them first.
-      std::sort(candidates.begin(), candidates.end(),
-                [this](const Candidate& a, const Candidate& b) {
-                  return RegionArea(instances_[a.entry]) >
-                         RegionArea(instances_[b.entry]);
-                });
-      break;
-    case CostCheckOrder::kDescendingUsage:
-      std::sort(candidates.begin(), candidates.end(),
-                [this](const Candidate& a, const Candidate& b) {
-                  return instances_[a.entry].usage.value() >
-                         instances_[b.entry].usage.value();
-                });
-      break;
-    case CostCheckOrder::kInsertionOrder:
-      break;  // already in insertion order
-  }
-  if (options_.max_cost_check_candidates > 0 &&
-      static_cast<int>(candidates.size()) >
-          options_.max_cost_check_candidates) {
-    candidates.resize(
-        static_cast<size_t>(options_.max_cost_check_candidates));
-  }
+  candidates.resize(SelectTopCandidates(candidates.data(), candidates.size(),
+                                        options_.max_cost_check_candidates));
   choice.cost_check_candidates_in_get_plan =
       static_cast<int>(candidates.size());
   if (cost_check_candidates_ != nullptr) {
@@ -375,7 +379,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
     std::span<double> cost_span(cand_costs.data(), cand_costs.size());
     auto cost_visitor = [&](size_t idx, double new_cost) {
       const Candidate& c = candidates[idx];
-      InstanceEntry& e = instances_[c.entry];
+      InstanceMeta& e = instances_[c.entry];
       ++recosts;
       double r = new_cost / std::max(e.opt_cost, 1e-30);
 
@@ -398,7 +402,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         // implies cost(P, qc) <= G * cost(P, qe) and
         // >= cost(P, qe) / L; observing either bound broken means the
         // assumption failed for this entry.
-        GlFactors gl = ComputeGlFast(e.v, sv);
+        GlFactors gl = ComputeGlFast(VOf(c.entry), q, dims_);
         double plan_cost_at_e = e.subopt * e.opt_cost;
         if (new_cost > kViolationSlack * gl.g * plan_cost_at_e ||
             new_cost * kViolationSlack < plan_cost_at_e / c.l) {
@@ -438,7 +442,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   }
   if (hit >= 0) {
     const Candidate& c = candidates[static_cast<size_t>(hit)];
-    InstanceEntry& e = instances_[c.entry];
+    InstanceMeta& e = instances_[c.entry];
     e.usage.Add(1);
     store_.AddUsage(e.plan_id, 1);
     choice.plan = store_.entry(e.plan_id).plan;
@@ -463,6 +467,25 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   choice.recost_calls_in_get_plan = recosts;
   return false;
   // scrpqo-lint: hot-path end
+}
+
+void Scr::ServeSelHit(size_t i, GlFactors gl, int instance_id,
+                      std::chrono::steady_clock::time_point start,
+                      PlanChoice* choice) {
+  InstanceMeta& e = instances_[i];
+  e.usage.Add(1);
+  store_.AddUsage(e.plan_id, 1);
+  choice->plan = store_.entry(e.plan_id).plan;
+  if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
+    DecisionEvent ev;
+    ev.outcome = DecisionOutcome::kSelCheckHit;
+    ev.matched_entry = static_cast<int32_t>(i);
+    ev.g = gl.g;
+    ev.l = gl.l;
+    ev.subopt = e.subopt;
+    ev.lambda = LambdaFor(e);
+    EmitEvent(std::move(ev), instance_id, start);
+  }
 }
 
 void Scr::ManageCache(const WorkloadInstance& wi,
@@ -528,22 +551,43 @@ void Scr::ManageCache(const WorkloadInstance& wi,
     }
   }
 
-  InstanceEntry entry;
-  entry.v = sv;
-  entry.plan_id = stored.plan_id;
-  entry.opt_cost = result->cost;
-  entry.subopt = stored.subopt;
-  entry.usage = 1;
-  instances_.push_back(std::move(entry));
-  if (options_.use_spatial_index) {
-    if (index_ == nullptr) {
-      index_ = std::make_unique<InstanceKdTree>(
-          static_cast<int>(sv.size()));
-    }
-    index_->Insert(static_cast<int64_t>(instances_.size()) - 1, sv);
-  }
+  AppendInstance(sv, stored.plan_id, result->cost, stored.subopt,
+                 /*usage=*/1, /*cost_check_disabled=*/false);
   store_.AddUsage(stored.plan_id, 1);
   choice->plan = store_.entry(stored.plan_id).plan;
+}
+
+void Scr::AppendInstance(const SVector& v, int plan_id, double opt_cost,
+                         double subopt, int64_t usage,
+                         bool cost_check_disabled) {
+  if (instances_.empty()) {
+    dims_ = v.size();
+  } else {
+    SCRPQO_CHECK(v.size() == dims_,
+                 "instance selectivity vector dimensionality mismatch");
+  }
+  InstanceMeta& e = instances_.emplace_back();
+  e.opt_cost = opt_cost;
+  e.subopt = subopt;
+  e.usage = usage;
+  e.plan_id = plan_id;
+  e.cost_check_disabled = cost_check_disabled;
+  inst_v_.insert(inst_v_.end(), v.begin(), v.end());
+  if (options_.use_spatial_index) {
+    if (index_ == nullptr) {
+      index_ = std::make_unique<InstanceKdTree>(static_cast<int>(dims_));
+    }
+    index_->Insert(static_cast<int64_t>(instances_.size()) - 1, v);
+  }
+}
+
+void Scr::RebuildIndex() {
+  index_.reset();
+  if (instances_.empty()) return;
+  index_ = std::make_unique<InstanceKdTree>(static_cast<int>(dims_));
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    index_->Insert(static_cast<int64_t>(i), SVectorOf(i));
+  }
 }
 
 void Scr::EvictForBudget(int instance_id, int pinned_plan_id) {
@@ -565,13 +609,22 @@ void Scr::DropPlanAndEntries(int victim, int instance_id) {
   }
   // Dropping the instance entries keeps the lambda-optimality guarantee
   // intact (Section 6.3.1): no future inference can use the gone plan.
+  // Stable compaction: the survivors keep their relative order, so every
+  // later scan visits them exactly as before the eviction.
+  size_t kept = 0;
   for (size_t i = 0; i < instances_.size(); ++i) {
-    InstanceEntry& e = instances_[i];
-    if (e.live && e.plan_id == victim) {
-      e.live = false;
-      if (index_ != nullptr) index_->Remove(static_cast<int64_t>(i));
+    if (instances_[i].plan_id == victim) continue;
+    if (kept != i) {
+      instances_[kept] = instances_[i];
+      std::copy_n(VOf(i), dims_, inst_v_.begin() + kept * dims_);
     }
+    ++kept;
   }
+  if (kept == instances_.size()) return;
+  instances_.resize(kept);
+  inst_v_.resize(kept * dims_);
+  // Positions shifted: re-key the tree to the compacted list.
+  if (options_.use_spatial_index) RebuildIndex();
 }
 
 int64_t Scr::MinLivePlanUsage(uint64_t pinned_signature) const {
@@ -601,10 +654,7 @@ int64_t Scr::EstimatedMemoryBytes() const {
     if (p->plan != nullptr) total += PlanMemoryBytes(*p->plan);
     total += p->program.memory_bytes();
   }
-  int dims = instances_.empty()
-                 ? 0
-                 : static_cast<int>(instances_.front().v.size());
-  total += NumInstancesStored() * InstanceEntryBytes(dims);
+  total += NumInstancesStored() * InstanceEntryBytes(static_cast<int>(dims_));
   return total;
 }
 
@@ -622,12 +672,13 @@ std::vector<Scr::SnapshotEntry> Scr::SnapshotInstances() const {
   int ordinal = 0;
   for (int id : store_.LivePlanIds()) ordinal_of[id] = ordinal++;
   std::vector<SnapshotEntry> out;
-  for (const auto& e : instances_) {
-    if (!e.live) continue;
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    const InstanceMeta& e = instances_[i];
     auto it = ordinal_of.find(e.plan_id);
-    if (it == ordinal_of.end()) continue;
+    SCRPQO_CHECK(it != ordinal_of.end(),
+                 "instance entry points at an evicted plan");
     SnapshotEntry se;
-    se.v = e.v;
+    se.v = SVectorOf(i);
     se.plan_ordinal = it->second;
     se.opt_cost = e.opt_cost;
     se.subopt = e.subopt;
@@ -669,22 +720,10 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
       return Status::InvalidArgument(
           "instance entry has mismatched selectivity dimensions");
     }
-    InstanceEntry e;
-    e.v = se.v;
-    e.plan_id = plan_ids[static_cast<size_t>(se.plan_ordinal)];
-    e.opt_cost = se.opt_cost;
-    e.subopt = se.subopt;
-    e.usage = se.usage;
-    e.cost_check_disabled = se.cost_check_disabled;
-    instances_.push_back(std::move(e));
-    store_.AddUsage(instances_.back().plan_id, se.usage);
-    if (options_.use_spatial_index) {
-      if (index_ == nullptr) {
-        index_ = std::make_unique<InstanceKdTree>(
-            static_cast<int>(se.v.size()));
-      }
-      index_->Insert(static_cast<int64_t>(instances_.size()) - 1, se.v);
-    }
+    const int plan_id = plan_ids[static_cast<size_t>(se.plan_ordinal)];
+    AppendInstance(se.v, plan_id, se.opt_cost, se.subopt, se.usage,
+                   se.cost_check_disabled);
+    store_.AddUsage(plan_id, se.usage);
     cost_sum_ += se.opt_cost;
     ++cost_count_;
   }
@@ -693,13 +732,13 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
 
 int Scr::DropRedundantPlans(EngineContext* engine) {
   int dropped = 0;
-  for (int plan_id : store_.LivePlanIds()) {
-    // Collect the live instances served by this plan.
+  // A copy: Drop below edits the store's live-id list.
+  const std::vector<int> plan_ids = store_.LivePlanIds();
+  for (int plan_id : plan_ids) {
+    // Collect the instances served by this plan.
     std::vector<size_t> served;
     for (size_t i = 0; i < instances_.size(); ++i) {
-      if (instances_[i].live && instances_[i].plan_id == plan_id) {
-        served.push_back(i);
-      }
+      if (instances_[i].plan_id == plan_id) served.push_back(i);
     }
     // Each instance must have some *other* cached plan within its lambda
     // bound; record the best alternative per instance.
@@ -710,12 +749,13 @@ int Scr::DropRedundantPlans(EngineContext* engine) {
     std::vector<Alt> alts(served.size());
     bool all_covered = true;
     for (size_t s = 0; s < served.size() && all_covered; ++s) {
-      const InstanceEntry& e = instances_[served[s]];
+      const InstanceMeta& e = instances_[served[s]];
+      const SVector v = SVectorOf(served[s]);
       double best = std::numeric_limits<double>::infinity();
       int best_id = -1;
       for (int other : store_.LivePlanIds()) {
         if (other == plan_id) continue;
-        double c = engine->Recost(*store_.entry(other).plan, e.v);
+        double c = engine->Recost(*store_.entry(other).plan, v);
         if (c < best) {
           best = c;
           best_id = other;
@@ -731,7 +771,7 @@ int Scr::DropRedundantPlans(EngineContext* engine) {
     if (!all_covered || served.empty()) continue;
     // Re-point the instances and drop the plan.
     for (size_t s = 0; s < served.size(); ++s) {
-      InstanceEntry& e = instances_[served[s]];
+      InstanceMeta& e = instances_[served[s]];
       e.plan_id = alts[s].plan_id;
       e.subopt = alts[s].subopt;
       store_.AddUsage(alts[s].plan_id, e.usage.value());

@@ -15,6 +15,7 @@
 
 #include "common/atomics.h"
 #include "common/effects.h"
+#include "common/math_util.h"
 #include "pqo/instance_index.h"
 #include "pqo/plan_store.h"
 #include "pqo/technique.h"
@@ -53,8 +54,9 @@ struct ScrOptions {
   bool enable_cost_check = true;
   /// Answer the selectivity check and candidate selection through a k-d
   /// tree over log-selectivities instead of scanning the instance list
-  /// (Section 6.2's spatial-index suggestion). Semantically identical for
-  /// static lambda; requires cost_check_order == kAscendingGl.
+  /// (Section 6.2's spatial-index suggestion). Makes the scan's decisions
+  /// for static lambda; requires cost_check_order == kAscendingGl. The
+  /// tree is rebuilt after every plan eviction.
   bool use_spatial_index = false;
   /// Appendix D: when true, the per-entry bound becomes
   /// lambda(C) = lambda_min + (lambda_max - lambda_min) * exp(-C / c_ref),
@@ -132,8 +134,12 @@ class Scr : public PqoTechnique {
   int64_t NumPlansCached() const override { return store_.NumLive(); }
   int64_t PeakPlansCached() const override { return store_.Peak(); }
 
-  /// Instance-list size (bookkeeping-overhead metric, Section 6.1).
-  int64_t NumInstancesStored() const;
+  /// Instance-list size (bookkeeping-overhead metric, Section 6.1). Every
+  /// stored entry points at a live plan: evicting a plan removes its
+  /// entries from the list.
+  int64_t NumInstancesStored() const {
+    return static_cast<int64_t>(instances_.size());
+  }
 
   /// Maximum Recost calls any single getPlan invocation needed so far
   /// (Section 7.3's getPlan-overhead discussion).
@@ -169,8 +175,23 @@ class Scr : public PqoTechnique {
   bool EvictLfuPlan(int instance_id, uint64_t pinned_signature = 0);
 
   /// Estimated heap bytes held by the cache: live plan trees + compiled
-  /// recost programs + instance-list 5-tuples (plan_memory.h estimators).
+  /// recost programs (plan_memory.h estimators) + instance-list entries
+  /// (InstanceEntryBytes).
   int64_t EstimatedMemoryBytes() const;
+
+  /// The paper's instance-list 5-tuple <V, PP, C, S, U> (Section 6.1)
+  /// without V: the selectivity vectors of all entries sit in one flat
+  /// stride-d array beside the list. `usage` and `cost_check_disabled` are
+  /// written from the concurrent getPlan read path, hence relaxed atomics;
+  /// the remaining fields only change under the exclusive lock.
+  struct InstanceMeta {
+    double opt_cost = 0.0;  // C: optimal cost at this instance
+    double subopt = 1.0;    // S: sub-optimality of plan at this instance
+    RelaxedCounter<int64_t> usage = 0;  // U
+    int plan_id = -1;  // PP: pointer into the plan store
+    /// Appendix G: excluded from future cost-check inference.
+    RelaxedCounter<bool> cost_check_disabled = false;
+  };
 
   /// Tags every emitted DecisionEvent with `label` (template key when this
   /// cache serves one template of a PqoManager). Set before traffic.
@@ -191,34 +212,36 @@ class Scr : public PqoTechnique {
 
   /// Live cached plans, in a stable ordinal order.
   std::vector<PlanPtr> SnapshotPlans() const;
-  /// Live instance entries referencing SnapshotPlans() ordinals.
+  /// Instance entries referencing SnapshotPlans() ordinals.
   std::vector<SnapshotEntry> SnapshotInstances() const;
   /// Rebuilds the cache from a snapshot. The cache must be empty.
   Status Restore(const std::vector<PlanPtr>& plans,
                  const std::vector<SnapshotEntry>& entries);
 
  private:
-  /// The paper's instance-list 5-tuple <V, PP, C, S, U> (Section 6.1).
-  /// `usage` and `cost_check_disabled` are written from the concurrent
-  /// getPlan read path, hence relaxed atomics; the remaining fields only
-  /// change under the exclusive lock.
-  struct InstanceEntry {
-    SVector v;          // selectivity vector of the optimized instance
-    int plan_id = -1;   // PP: pointer into the plan store
-    double opt_cost = 0.0;  // C: optimal cost at this instance
-    double subopt = 1.0;    // S: sub-optimality of plan at this instance
-    RelaxedCounter<int64_t> usage = 0;  // U
-    bool live = true;
-    /// Appendix G: excluded from future cost-check inference.
-    RelaxedCounter<bool> cost_check_disabled = false;
-  };
+  /// V of the entry at instance-list position `i` (dims_ selectivities).
+  const double* VOf(size_t i) const { return inst_v_.data() + i * dims_; }
+  SVector SVectorOf(size_t i) const { return SVector(VOf(i), VOf(i) + dims_); }
 
   /// Effective lambda for an entry (Appendix D dynamic mode).
-  double LambdaFor(const InstanceEntry& e) const;
+  double LambdaFor(const InstanceMeta& e) const;
 
-  /// Relative area of the entry's selectivity-based inference region
-  /// (Section 5.3), used by CostCheckOrder::kDescendingRegionArea.
-  double RegionArea(const InstanceEntry& e) const;
+  /// Relative area of the selectivity-based inference region of the entry
+  /// at position `i` (Section 5.3), used by
+  /// CostCheckOrder::kDescendingRegionArea.
+  double RegionArea(size_t i) const;
+
+  /// Serves a selectivity-check hit on the entry at position `i`.
+  void ServeSelHit(size_t i, GlFactors gl, int instance_id,
+                   std::chrono::steady_clock::time_point start,
+                   PlanChoice* choice);
+
+  /// Appends an entry to the instance list (and the k-d tree).
+  void AppendInstance(const SVector& v, int plan_id, double opt_cost,
+                      double subopt, int64_t usage, bool cost_check_disabled);
+
+  /// Rebuilds the k-d tree from the instance list, keyed by position.
+  void RebuildIndex();
 
   void ManageCache(const WorkloadInstance& wi,
                    std::shared_ptr<const OptimizationResult> result,
@@ -233,7 +256,8 @@ class Scr : public PqoTechnique {
   void EvictForBudget(int instance_id, int pinned_plan_id);
 
   /// Drops one plan (emitting kEvicted) and the instance entries that point
-  /// at it, which keeps the lambda guarantee intact (Section 6.3.1).
+  /// at it, which keeps the lambda guarantee intact (Section 6.3.1). The
+  /// instance list is compacted in place, keeping the survivors' order.
   void DropPlanAndEntries(int victim, int instance_id);
 
   /// Stamps technique/instance fields and hands the event to the tracer
@@ -246,8 +270,14 @@ class Scr : public PqoTechnique {
   std::string scope_label_;
   double lambda_r_effective_;
   PlanStore store_;
-  std::vector<InstanceEntry> instances_;
-  /// Lazily created on first insert when use_spatial_index is set.
+  /// The instance list, in insertion order. Every entry is live.
+  std::vector<InstanceMeta> instances_;
+  /// V of every entry, row i at [i * dims_, (i + 1) * dims_).
+  std::vector<double> inst_v_;
+  /// The template's d, fixed by the first entry stored.
+  size_t dims_ = 0;
+  /// Over instance-list positions; created on first insert and rebuilt
+  /// after every eviction when use_spatial_index is set.
   std::unique_ptr<InstanceKdTree> index_;
   RelaxedCounter<int> max_recost_calls_per_get_plan_ = 0;
   RelaxedCounter<int64_t> violations_detected_ = 0;
@@ -265,5 +295,10 @@ class Scr : public PqoTechnique {
   /// at SetObs time (cached-sink-pointer pattern).
   StageHistograms stage_hists_;
 };
+
+/// Bytes one instance-list entry occupies in Scr's layout: d selectivities
+/// in the flat V array plus its InstanceMeta (Section 6.1's 5-tuple, which
+/// the paper puts at ~100 bytes).
+int64_t InstanceEntryBytes(int dimensions);
 
 }  // namespace scrpqo

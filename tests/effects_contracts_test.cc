@@ -74,6 +74,11 @@ static_assert(noexcept(ComputeGlFast(std::declval<const std::vector<double>&>(),
                                      std::declval<const std::vector<double>&>())),
               "ComputeGlFast must stay noexcept: it runs once per candidate "
               "inside Scr::TryReuse");
+static_assert(noexcept(ComputeGlFast(std::declval<const double*>(),
+                                     std::declval<const double*>(),
+                                     std::declval<size_t>())),
+              "the row form of ComputeGlFast must stay noexcept: it runs "
+              "once per stored instance inside Scr::TryReuse");
 
 // ---------------------------------------------------------------------------
 // Runtime smoke: the noexcept-pinned functions also behave.
@@ -106,6 +111,20 @@ TEST(EffectsContracts, ComputeGlFastSplitsRatios) {
   const GlFactors gl = ComputeGlFast(from, to);
   EXPECT_DOUBLE_EQ(gl.g, 2.0);
   EXPECT_DOUBLE_EQ(gl.l, 2.0);
+}
+
+TEST(EffectsContracts, ComputeGlFastRowFormIsBitIdentical) {
+  // The selectivity check reads rows of a flat stride-d array; the row
+  // form must give exactly the vector form's G and L, tail lanes included.
+  const std::vector<double> flat{0.3,  0.01, 0.7, 0.2, 0.05, 0.9, 0.4,
+                                 0.25, 0.02, 0.6, 0.1, 0.08, 0.5, 0.3};
+  const size_t d = 7;
+  const std::vector<double> a(flat.begin(), flat.begin() + d);
+  const std::vector<double> b(flat.begin() + d, flat.end());
+  const GlFactors vec = ComputeGlFast(a, b);
+  const GlFactors row = ComputeGlFast(flat.data(), flat.data() + d, d);
+  EXPECT_EQ(vec.g, row.g);
+  EXPECT_EQ(vec.l, row.l);
 }
 
 }  // namespace

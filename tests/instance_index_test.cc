@@ -103,17 +103,6 @@ TEST(InstanceKdTreeTest, NearestMatchesBruteForce) {
   }
 }
 
-TEST(InstanceKdTreeTest, RemoveHidesEntry) {
-  InstanceKdTree tree(2);
-  tree.Insert(0, {0.5, 0.5});
-  tree.Insert(1, {0.51, 0.51});
-  tree.Remove(0);
-  EXPECT_EQ(tree.size(), 1);
-  auto matches = tree.RangeQuery({0.5, 0.5}, 100.0);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].id, 1);
-}
-
 TEST(InstanceKdTreeTest, PrunesSearchSpace) {
   Pcg32 rng(13);
   InstanceKdTree tree(2);

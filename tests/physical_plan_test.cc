@@ -3,6 +3,7 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_memory.h"
 #include "optimizer/physical_plan.h"
+#include "pqo/scr.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
 
@@ -103,9 +104,13 @@ TEST_F(PlanRenderTest, PlanMemoryBytesScalesWithTree) {
 }
 
 TEST(InstanceEntryBytesTest, MatchesPaperOrder) {
-  // The paper says ~100 bytes per 5-tuple; our accounting should be in that
-  // ballpark for typical dimensionalities.
-  EXPECT_GT(InstanceEntryBytes(2), 60);
+  // The paper says ~100 bytes per 5-tuple. Scr stores V as d doubles in a
+  // flat array and the other four fields in one InstanceMeta, so the
+  // accounting is exactly that layout.
+  EXPECT_EQ(InstanceEntryBytes(2),
+            static_cast<int64_t>(2 * sizeof(double) +
+                                 sizeof(Scr::InstanceMeta)));
+  EXPECT_EQ(InstanceEntryBytes(2), 48);
   EXPECT_LT(InstanceEntryBytes(10), 200);
   EXPECT_GT(InstanceEntryBytes(10), InstanceEntryBytes(2));
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "pqo/plan_store.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
@@ -116,6 +120,42 @@ TEST_F(PlanStoreTest, DroppedSignatureCanBeReinserted) {
   EXPECT_FALSE(r2.already_present);
   EXPECT_NE(r2.plan_id, r1.plan_id);
   EXPECT_EQ(store.NumLive(), 1);
+}
+
+TEST_F(PlanStoreTest, DropReleasesPlanOnceCallersLetGo) {
+  PlanStore store;
+  Optimized a = OptimizeAt(0.2, 0.2);
+  auto r = store.StoreOrReuse(a.plan, a.sv, a.cost, -1.0, &engine_);
+  std::shared_ptr<const CachedPlan> held = store.entry(r.plan_id).plan;
+  std::weak_ptr<const CachedPlan> watch = held;
+  store.Drop(r.plan_id);
+  EXPECT_FALSE(store.entry(r.plan_id).live);
+  EXPECT_EQ(store.entry(r.plan_id).plan, nullptr);
+  // A caller still serving the plan keeps it alive...
+  EXPECT_FALSE(watch.expired());
+  // ...and the store holds no reference of its own.
+  held.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_F(PlanStoreTest, LiveIdsAscendAndIdsAreNeverReused) {
+  PlanStore store;
+  std::vector<int> ids;
+  for (double s : {0.001, 0.05, 0.3, 0.9}) {
+    Optimized o = OptimizeAt(s, 1.0 - s);
+    auto r = store.StoreOrReuse(o.plan, o.sv, o.cost, -1.0, &engine_);
+    if (!r.already_present) ids.push_back(r.plan_id);
+  }
+  if (ids.size() < 2) GTEST_SKIP() << "need two distinct plans";
+  store.Drop(ids.front());
+  EXPECT_EQ(store.LivePlanIds(),
+            std::vector<int>(ids.begin() + 1, ids.end()));
+  Optimized again = OptimizeAt(0.001, 0.999);
+  auto r = store.StoreOrReuse(again.plan, again.sv, again.cost, -1.0,
+                              &engine_);
+  EXPECT_GT(r.plan_id, ids.back());
+  EXPECT_TRUE(std::is_sorted(store.LivePlanIds().begin(),
+                             store.LivePlanIds().end()));
 }
 
 TEST_F(PlanStoreTest, EntryOutOfRangeDies) {

@@ -523,6 +523,13 @@ TEST(RecostBundleConcurrencyTest, RebuildRacesReaders) {
   // Writer: evict/re-admit cycles that repeatedly trip the tombstone
   // compaction (a full dense rebuild) while the readers are in flight.
   for (int cycle = 0; cycle < 300; ++cycle) {
+    // Outside the lock, let a reader finish a pass over the state the
+    // previous cycle left before mutating it again: under load both
+    // readers could otherwise miss the whole loop.
+    const int64_t seen = reads.load(std::memory_order_relaxed);
+    while (reads.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
     WriterMutexLock lock(mu);
     if (live_ids.size() > 2) {
       for (int k = 0; k < 3 && live_ids.size() > 2; ++k) {

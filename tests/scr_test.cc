@@ -77,6 +77,28 @@ TEST_F(ScrTest, NearbyInstancePassesSelectivityCheck) {
   EXPECT_EQ(engine.num_recost_calls(), 0);
 }
 
+TEST_F(ScrTest, EvictedPlanIsFreedOnceCallersLetGo) {
+  // Budget 1: the second distinct plan evicts the first.
+  ScrOptions opts;
+  opts.lambda = 1.1;
+  opts.lambda_r = 1.0;  // store every new plan
+  opts.plan_budget = 1;
+  Scr scr(opts);
+  EngineContext engine(&db_, &optimizer_);
+  PlanChoice first = scr.OnInstance(MakeWi(0, 0.001, 0.001), &engine);
+  std::weak_ptr<const CachedPlan> watch = first.plan;
+  const uint64_t first_signature = first.plan->signature;
+  PlanChoice second = scr.OnInstance(MakeWi(1, 0.95, 0.95), &engine);
+  if (second.plan->signature == first_signature) {
+    GTEST_SKIP() << "need two distinct plans";
+  }
+  EXPECT_EQ(scr.NumPlansCached(), 1);
+  EXPECT_EQ(scr.NumInstancesStored(), 1);
+  EXPECT_FALSE(watch.expired());  // the first caller still holds it
+  first.plan.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST_F(ScrTest, FarInstanceTriggersCostCheckOrOptimize) {
   Scr scr(ScrOptions{.lambda = 1.5});
   EngineContext engine(&db_, &optimizer_);
