@@ -1,6 +1,17 @@
 #include "catalog/catalog.h"
 
+#include <atomic>
+
 namespace scrpqo {
+
+namespace {
+
+uint64_t NextCatalogUid() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 int TableDef::ColumnIndex(const std::string& column) const {
   for (size_t i = 0; i < columns.size(); ++i) {
@@ -14,6 +25,35 @@ const IndexDef* TableDef::FindIndexOn(const std::string& column) const {
     if (idx.column == column) return &idx;
   }
   return nullptr;
+}
+
+Catalog::Catalog() : uid_(NextCatalogUid()) {}
+
+Catalog::Catalog(const Catalog& other)
+    : tables_(other.tables_),
+      column_stats_(other.column_stats_),
+      uid_(NextCatalogUid()) {}
+
+Catalog::Catalog(Catalog&& other) noexcept
+    : tables_(std::move(other.tables_)),
+      column_stats_(std::move(other.column_stats_)),
+      uid_(std::exchange(other.uid_, NextCatalogUid())) {}
+
+Catalog& Catalog::operator=(const Catalog& other) {
+  if (this == &other) return *this;
+  tables_ = other.tables_;
+  // Copy assignment may reuse this catalog's nodes for other columns.
+  column_stats_ = other.column_stats_;
+  uid_ = NextCatalogUid();
+  return *this;
+}
+
+Catalog& Catalog::operator=(Catalog&& other) noexcept {
+  if (this == &other) return *this;
+  tables_ = std::move(other.tables_);
+  column_stats_ = std::move(other.column_stats_);
+  uid_ = std::exchange(other.uid_, NextCatalogUid());
+  return *this;
 }
 
 Status Catalog::AddTable(TableDef def) {
@@ -51,19 +91,25 @@ std::vector<std::string> Catalog::TableNames() const {
 
 void Catalog::SetColumnStats(const std::string& table,
                              const std::string& column, ColumnStats stats) {
-  column_stats_[table + "." + column] = std::move(stats);
+  // Assigns into an existing node rather than replacing it, so pointers to
+  // the column's stats stay valid.
+  column_stats_.insert_or_assign(std::pair(table, column), std::move(stats));
 }
 
-const ColumnStats* Catalog::FindColumnStats(const std::string& table,
-                                            const std::string& column) const {
-  auto it = column_stats_.find(table + "." + column);
+const ColumnStats* Catalog::FindColumnStats(std::string_view table,
+                                            std::string_view column) const {
+  auto it = column_stats_.find(ColumnKeyLess::View(table, column));
   return it == column_stats_.end() ? nullptr : &it->second;
 }
 
-const ColumnStats& Catalog::GetColumnStats(const std::string& table,
-                                           const std::string& column) const {
+const ColumnStats& Catalog::GetColumnStats(std::string_view table,
+                                           std::string_view column) const {
   const ColumnStats* s = FindColumnStats(table, column);
-  SCRPQO_CHECK(s != nullptr, "missing stats for " + table + "." + column);
+  if (s == nullptr) [[unlikely]] {
+    std::string msg = "missing stats for ";
+    msg.append(table).append(".").append(column);
+    SCRPQO_CHECK(false, msg);
+  }
   return *s;
 }
 

@@ -34,15 +34,8 @@ std::string QueryInstance::ToString() const {
 SVector ComputeSelectivityVector(const Database& db,
                                  const QueryInstance& instance) {
   const QueryTemplate& tmpl = instance.query_template();
-  SVector sv(static_cast<size_t>(tmpl.dimensions()), 0.0);
-  for (int slot = 0; slot < tmpl.dimensions(); ++slot) {
-    const PredicateTemplate& p = tmpl.PredicateForSlot(slot);
-    const std::string& table = tmpl.tables()[static_cast<size_t>(
-        p.table_index)];
-    const ColumnStats& stats = db.catalog().GetColumnStats(table, p.column);
-    sv[static_cast<size_t>(slot)] =
-        stats.Selectivity(p.op, instance.param(slot));
-  }
+  SVector sv(static_cast<size_t>(tmpl.dimensions()));
+  tmpl.CompiledSelectivity(db.catalog()).Evaluate(instance, sv);
   return sv;
 }
 

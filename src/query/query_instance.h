@@ -44,7 +44,8 @@ class QueryInstance {
 
 /// \brief Engine API #1 (paper Appendix B): computes the selectivities of
 /// the instance's parameterized predicates from catalog statistics,
-/// short-circuiting any plan search.
+/// short-circuiting any plan search. Runs the template's compiled
+/// `SelectivityProgram` against `db`'s catalog (DESIGN.md §4k).
 SVector ComputeSelectivityVector(const Database& db,
                                  const QueryInstance& instance);
 

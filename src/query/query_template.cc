@@ -24,6 +24,7 @@ Status QueryTemplate::AddPredicate(PredicateTemplate pred) {
     ++dimensions_;
   }
   predicates_.push_back(std::move(pred));
+  selectivity_programs_.Reset();
   return Status::OK();
 }
 

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "expr/predicate.h"
+#include "query/selectivity_program.h"
 
 namespace scrpqo {
 
@@ -59,6 +60,13 @@ class QueryTemplate {
   /// The predicate feeding selectivity dimension `slot`.
   const PredicateTemplate& PredicateForSlot(int slot) const;
 
+  /// This template's compiled sVector program against `catalog`, compiled
+  /// on first use and reused until the template changes (a copy or
+  /// `AddPredicate` starts over). Safe to call concurrently.
+  const SelectivityProgram& CompiledSelectivity(const Catalog& catalog) const {
+    return selectivity_programs_.For(*this, catalog);
+  }
+
   /// Indices of predicates (parameterized and literal) on table
   /// `table_index`.
   std::vector<int> PredicatesOnTable(int table_index) const;
@@ -76,6 +84,7 @@ class QueryTemplate {
   std::vector<PredicateTemplate> predicates_;
   AggregateSpec aggregate_;
   int dimensions_ = 0;
+  SelectivityProgramCache selectivity_programs_;
 };
 
 }  // namespace scrpqo

@@ -41,64 +41,90 @@ EquiDepthHistogram EquiDepthHistogram::Build(std::vector<double> values,
     h.distinct_total_ += distinct;
     i = end;
   }
+  h.rows_below_.reserve(h.counts_.size() + 1);
+  int64_t below = 0;
+  for (int64_t count : h.counts_) {
+    h.rows_below_.push_back(static_cast<double>(below));
+    below += count;
+  }
+  h.rows_below_.push_back(static_cast<double>(below));
   return h;
 }
 
-double EquiDepthHistogram::CdfLe(double c) const {
+namespace {
+
+/// Index of the first element of `v` for which `step_past` is false, given
+/// that it is true on a prefix (as std::partition_point). Each halving is a
+/// compare-and-select rather than a branch, because serving probes buckets
+/// in no predictable order.
+template <typename Pred>
+size_t FirstNotPast(std::span<const double> v, Pred step_past) noexcept {
+  if (v.empty()) return 0;
+  const double* base = v.data();
+  size_t n = v.size();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = step_past(base[half]) ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - v.data()) + (step_past(*base) ? 1 : 0);
+}
+
+}  // namespace
+
+// The bucket search uses exactly the condition a linear walk from bucket 0
+// tests to step past a bucket (`c >= upper`), so it stops at the bucket such
+// a walk stops at for every input, NaN included (a NaN steps past nothing);
+// over finite inputs it is std::upper_bound. The equality estimate's bucket
+// (the first whose bound is >= c, std::lower_bound) is derived from it:
+// bounds ascend strictly, so only the bound just below can equal c.
+size_t EquiDepthHistogram::CdfBucket(double c) const noexcept {
+  return FirstNotPast(upper_bounds_, [c](double upper) { return c >= upper; });
+}
+
+double EquiDepthHistogram::CdfLe(double c, size_t b) const noexcept {
   if (empty()) return 0.0;
   if (c < min_) return 0.0;
   if (c >= max_) return 1.0;
-  double cum = 0.0;
-  double lower = min_;
-  for (size_t b = 0; b < upper_bounds_.size(); ++b) {
-    double upper = upper_bounds_[b];
-    double bucket_rows = static_cast<double>(counts_[b]);
-    if (c >= upper) {
-      cum += bucket_rows;
-      lower = upper;
-      continue;
-    }
-    // c falls inside bucket b: interpolate uniformly.
-    double width = upper - lower;
-    double frac = width <= 0.0 ? 1.0 : (c - lower) / width;
-    frac = std::clamp(frac, 0.0, 1.0);
-    cum += bucket_rows * frac;
-    break;
-  }
+  // b < num_buckets(): the last bound is max_ > c.
+  const double upper = upper_bounds_[b];
+  const double lower = b == 0 ? min_ : upper_bounds_[b - 1];
+  const double bucket_rows = static_cast<double>(counts_[b]);
+  // c falls inside bucket b: interpolate uniformly.
+  double width = upper - lower;
+  double frac = width <= 0.0 ? 1.0 : (c - lower) / width;
+  frac = std::clamp(frac, 0.0, 1.0);
+  double cum = rows_below_[b];
+  cum += bucket_rows * frac;
   return cum / static_cast<double>(row_count_);
 }
 
-double EquiDepthHistogram::EstimateEq(double c) const {
+double EquiDepthHistogram::EstimateEq(double c, size_t b) const noexcept {
   if (empty() || c < min_ || c > max_) return 0.0;
-  double lower = min_;
-  for (size_t b = 0; b < upper_bounds_.size(); ++b) {
-    double upper = upper_bounds_[b];
-    if (c <= upper) {
-      double bucket_frac =
-          static_cast<double>(counts_[b]) / static_cast<double>(row_count_);
-      double d = static_cast<double>(std::max<int64_t>(distincts_[b], 1));
-      return bucket_frac / d;
-    }
-    lower = upper;
-  }
-  (void)lower;
-  return 0.0;
+  if (b > 0 && !(upper_bounds_[b - 1] < c)) --b;
+  // A NaN c is <= no bound: a linear walk finds no bucket.
+  if (!(c <= upper_bounds_[b])) return 0.0;
+  double bucket_frac =
+      static_cast<double>(counts_[b]) / static_cast<double>(row_count_);
+  double d = static_cast<double>(std::max<int64_t>(distincts_[b], 1));
+  return bucket_frac / d;
 }
 
 double EquiDepthHistogram::EstimateSelectivity(CompareOp op,
-                                               double c) const {
+                                               double c) const noexcept {
   if (empty()) return 0.0;
+  const size_t b = CdfBucket(c);
   switch (op) {
     case CompareOp::kLe:
-      return CdfLe(c);
+      return CdfLe(c, b);
     case CompareOp::kLt:
-      return std::max(0.0, CdfLe(c) - EstimateEq(c));
+      return std::max(0.0, CdfLe(c, b) - EstimateEq(c, b));
     case CompareOp::kGt:
-      return std::max(0.0, 1.0 - CdfLe(c));
+      return std::max(0.0, 1.0 - CdfLe(c, b));
     case CompareOp::kGe:
-      return std::min(1.0, 1.0 - CdfLe(c) + EstimateEq(c));
+      return std::min(1.0, 1.0 - CdfLe(c, b) + EstimateEq(c, b));
     case CompareOp::kEq:
-      return EstimateEq(c);
+      return EstimateEq(c, b);
   }
   return 0.0;
 }
@@ -117,22 +143,20 @@ double EquiDepthHistogram::QuantileForSelectivity(CompareOp op,
   if (cdf_target <= 0.0) return min_ - 1.0;
   if (cdf_target >= 1.0) return max_;
 
-  double cum = 0.0;
-  double lower = min_;
-  double total = static_cast<double>(row_count_);
-  for (size_t b = 0; b < upper_bounds_.size(); ++b) {
-    double upper = upper_bounds_[b];
-    double bucket_rows = static_cast<double>(counts_[b]);
-    double next_cum = cum + bucket_rows;
-    if (next_cum / total >= cdf_target) {
-      double need = cdf_target * total - cum;
-      double frac = bucket_rows <= 0.0 ? 0.0 : need / bucket_rows;
-      return lower + (upper - lower) * frac;
-    }
-    cum = next_cum;
-    lower = upper;
-  }
-  return max_;
+  // First bucket whose cumulative fraction reaches the target. The
+  // fractions rows_below_[b + 1] / total ascend with b, so a binary search
+  // finds the bucket a linear walk would stop at.
+  const double total = static_cast<double>(row_count_);
+  const size_t b = FirstNotPast(
+      std::span<const double>(rows_below_).subspan(1),
+      [&](double next_cum) { return !(next_cum / total >= cdf_target); });
+  if (b == upper_bounds_.size()) return max_;
+  const double upper = upper_bounds_[b];
+  const double lower = b == 0 ? min_ : upper_bounds_[b - 1];
+  const double bucket_rows = static_cast<double>(counts_[b]);
+  double need = cdf_target * total - rows_below_[b];
+  double frac = bucket_rows <= 0.0 ? 0.0 : need / bucket_rows;
+  return lower + (upper - lower) * frac;
 }
 
 std::string EquiDepthHistogram::ToString() const {

@@ -79,6 +79,69 @@ TEST(CatalogTest, ColumnStatsRegistry) {
   EXPECT_EQ(cat.FindColumnStats("t", "b"), nullptr);
 }
 
+TEST(CatalogTest, DottedNamesGetDistinctStats) {
+  // ("a.b", "c") and ("a", "b.c") would share the key "a.b.c" if the
+  // table and column were joined into one string.
+  Catalog cat;
+  ColumnStats first;
+  first.row_count = 11;
+  ColumnStats second;
+  second.row_count = 22;
+  cat.SetColumnStats("a.b", "c", first);
+  cat.SetColumnStats("a", "b.c", second);
+  ASSERT_NE(cat.FindColumnStats("a.b", "c"), nullptr);
+  ASSERT_NE(cat.FindColumnStats("a", "b.c"), nullptr);
+  EXPECT_NE(cat.FindColumnStats("a.b", "c"), cat.FindColumnStats("a", "b.c"));
+  EXPECT_EQ(cat.GetColumnStats("a.b", "c").row_count, 11);
+  EXPECT_EQ(cat.GetColumnStats("a", "b.c").row_count, 22);
+  EXPECT_EQ(cat.FindColumnStats("a.b.c", ""), nullptr);
+  EXPECT_EQ(cat.FindColumnStats("", "a.b.c"), nullptr);
+}
+
+TEST(CatalogTest, SetColumnStatsKeepsTheNode) {
+  Catalog cat;
+  ColumnStats stats;
+  stats.row_count = 5;
+  cat.SetColumnStats("t", "a", stats);
+  const ColumnStats* node = cat.FindColumnStats("t", "a");
+  stats.row_count = 9;
+  cat.SetColumnStats("t", "a", stats);
+  EXPECT_EQ(cat.FindColumnStats("t", "a"), node);
+  EXPECT_EQ(node->row_count, 9);
+}
+
+TEST(CatalogTest, UidIsFreshForCopiesAndMovedFrom) {
+  Catalog a;
+  Catalog b;
+  EXPECT_NE(a.uid(), b.uid());
+  ColumnStats stats;
+  stats.row_count = 3;
+  a.SetColumnStats("t", "a", stats);
+  const uint64_t a_uid = a.uid();
+  const ColumnStats* node = a.FindColumnStats("t", "a");
+
+  Catalog copy(a);
+  EXPECT_NE(copy.uid(), a_uid);
+  EXPECT_NE(copy.FindColumnStats("t", "a"), node);
+
+  // The moved-to catalog owns the moved nodes, and with them the uid.
+  Catalog moved(std::move(a));
+  EXPECT_EQ(moved.uid(), a_uid);
+  EXPECT_EQ(moved.FindColumnStats("t", "a"), node);
+  EXPECT_NE(a.uid(), a_uid);  // NOLINT(bugprone-use-after-move)
+
+  const uint64_t b_uid = b.uid();
+  b = copy;
+  EXPECT_NE(b.uid(), b_uid);
+  EXPECT_NE(b.uid(), copy.uid());
+  Catalog c;
+  const uint64_t moved_uid = moved.uid();
+  c = std::move(moved);
+  EXPECT_EQ(c.uid(), moved_uid);
+  EXPECT_EQ(c.FindColumnStats("t", "a"), node);
+  EXPECT_NE(moved.uid(), moved_uid);  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(GeneratorTest, DeterministicAcrossRuns) {
   Database a = testing::MakeSmallDatabase(500, 50, 99);
   Database b = testing::MakeSmallDatabase(500, 50, 99);

@@ -20,6 +20,9 @@
 #include "common/math_util.h"
 #include "obs/event_ring.h"
 #include "optimizer/recost_program.h"
+#include "query/query_instance.h"
+#include "query/selectivity_program.h"
+#include "tests/test_util.h"
 
 namespace scrpqo {
 namespace {
@@ -81,6 +84,17 @@ static_assert(noexcept(ComputeGlFast(std::declval<const double*>(),
               "once per stored instance inside Scr::TryReuse");
 
 // ---------------------------------------------------------------------------
+// sVector program.
+// ---------------------------------------------------------------------------
+
+static_assert(noexcept(std::declval<const SelectivityProgram&>().Evaluate(
+                  std::declval<const QueryInstance&>(),
+                  std::declval<std::span<double>>())),
+              "SelectivityProgram::Evaluate must stay noexcept: the effect "
+              "analyzer proves it non-throwing and every warm request runs "
+              "it before getPlan");
+
+// ---------------------------------------------------------------------------
 // Runtime smoke: the noexcept-pinned functions also behave.
 // ---------------------------------------------------------------------------
 
@@ -125,6 +139,18 @@ TEST(EffectsContracts, ComputeGlFastRowFormIsBitIdentical) {
   const GlFactors row = ComputeGlFast(flat.data(), flat.data() + d, d);
   EXPECT_EQ(vec.g, row.g);
   EXPECT_EQ(vec.l, row.l);
+}
+
+TEST(EffectsContracts, SelectivityProgramEvaluateFillsSpan) {
+  Database db = testing::MakeSmallDatabase(2000, 200);
+  auto tmpl = testing::MakeJoinTemplate();
+  const QueryInstance q = InstanceForSelectivities(db, *tmpl, {0.25, 0.75});
+  double out[2] = {-1.0, -1.0};
+  tmpl->CompiledSelectivity(db.catalog()).Evaluate(q, out);
+  const SVector sv = ComputeSelectivityVector(db, q);
+  EXPECT_EQ(out[0], sv[0]);
+  EXPECT_EQ(out[1], sv[1]);
+  EXPECT_NEAR(out[0], 0.25, 0.05);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "optimizer/recost.h"
 #include "optimizer/recost_bundle.h"
 #include "pqo/scr.h"
+#include "query/selectivity_program.h"
 #include "tests/test_util.h"
 #include "workload/instance_gen.h"
 #include "workload/schemas.h"
@@ -460,6 +461,41 @@ TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
       << "warmed reuse path grew the scratch arena";
   EXPECT_EQ(allocs_after, allocs_before)
       << "warmed reuse path hit the heap";
+
+  // The whole warm request after binding: the template's compiled sVector
+  // program evaluates into arena scratch, the result is copied into the
+  // request's (already sized) sVector, and TryReuse runs on it. One priming
+  // pass compiles the program and grows the arena.
+  const SelectivityProgram& program = tmpl->CompiledSelectivity(db.catalog());
+  const size_t dims = static_cast<size_t>(program.dimensions());
+  std::vector<WorkloadInstance> requests = probes;
+  for (WorkloadInstance& wi : requests) {
+    std::fill(wi.svector.begin(), wi.svector.end(), 0.0);
+  }
+  auto serve = [&] {
+    for (WorkloadInstance& wi : requests) {
+      ScratchArena& arena = ScratchArena::Tls();
+      ScratchArena::Scope scope(arena);
+      std::span<double> sv(arena.AllocateArray<double>(dims), dims);
+      program.Evaluate(wi.instance, sv);
+      std::copy(sv.begin(), sv.end(), wi.svector.begin());
+      PlanChoice choice;
+      (void)scr.TryReuse(wi, &engine, &choice);
+    }
+  };
+  serve();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(requests[i].svector, probes[i].svector);
+  }
+  watermark_before = ScratchArena::Tls().watermark();
+  allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 20; ++rep) serve();
+  allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
+  watermark_after = ScratchArena::Tls().watermark();
+  EXPECT_EQ(watermark_after, watermark_before)
+      << "warmed sVector + reuse path grew the scratch arena";
+  EXPECT_EQ(allocs_after, allocs_before)
+      << "warmed sVector + reuse path hit the heap";
 }
 
 // ---------------------------------------------------------------------------

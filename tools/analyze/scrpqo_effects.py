@@ -532,6 +532,7 @@ class ClassScope:
 
 MEMBER_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+|static\s+|constexpr\s+|inline\s+|thread_local\s+)*"
+    r"(?:const\s+)?"
     r"((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*(?:<[^;(){}=]*>)?)"
     r"\s*(?:const\s*)?[*&]*\s*"
     r"([A-Za-z_]\w*)\s*"
