@@ -4,11 +4,11 @@
 // SAME cached plans and selectivity vectors:
 //   - tree:  CostModel::RecostTree (recursive pointer chase; the old path)
 //   - flat:  RecostProgram::Run (postorder linear scan; the new path)
-//   - batch: RecostService::RecostMany over a pool of cached plans (one
-//            sVector bind, N program scans — the redundancy-sweep shape)
 // and emits machine-readable BENCH_recost.json. Before timing anything it
 // verifies flat == tree to 1e-9 relative on every (plan, sv) pair it will
-// measure, so the numbers can never come from a divergent kernel.
+// measure, so the numbers can never come from a divergent kernel. Batched
+// sweeps (the SIMD bundle against one Run per plan) are measured and gated
+// by bench_micro_recost_batch.
 //
 // Flags:
 //   --out=PATH          output JSON path (default BENCH_recost.json)
@@ -71,7 +71,6 @@ struct DimResult {
   int pool_size = 0;
   double tree_ns = 0.0;
   double flat_ns = 0.0;
-  double batch_ns_per_plan = 0.0;
   double speedup = 0.0;
 };
 
@@ -138,19 +137,6 @@ DimResult RunDimension(const BenchmarkDb& rd2, int d) {
                   }
                 }) /
                 n_sv;
-
-  RecostService recost(&model);
-  std::vector<const CachedPlan*> ptrs;
-  for (const CachedPlan& p : pool) ptrs.push_back(&p);
-  std::vector<double> costs(ptrs.size());
-  double batch_ns = TimeNsPerOp([&] {
-                      for (const SVector* sv : svs) {
-                        sink += static_cast<double>(
-                            recost.RecostMany(ptrs, *sv, costs));
-                      }
-                    }) /
-                    n_sv;
-  out.batch_ns_per_plan = batch_ns / static_cast<double>(ptrs.size());
   out.speedup = out.tree_ns / out.flat_ns;
   if (sink == 42.0) std::printf("#");  // defeat whole-loop elision
   return out;
@@ -179,10 +165,8 @@ int main(int argc, char** argv) {
     results.push_back(RunDimension(rd2, d));
     const DimResult& r = results.back();
     std::printf(
-        "d=%d nodes=%d pool=%d tree=%.1fns flat=%.1fns batch/plan=%.1fns "
-        "speedup=%.2fx\n",
-        r.d, r.plan_nodes, r.pool_size, r.tree_ns, r.flat_ns,
-        r.batch_ns_per_plan, r.speedup);
+        "d=%d nodes=%d pool=%d tree=%.1fns flat=%.1fns speedup=%.2fx\n",
+        r.d, r.plan_nodes, r.pool_size, r.tree_ns, r.flat_ns, r.speedup);
   }
 
   double log_sum = 0.0;
@@ -201,10 +185,9 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"dimensions\": %d, \"plan_nodes\": %d, "
                  "\"pool_size\": %d, \"tree_ns_per_call\": %.2f, "
-                 "\"flat_ns_per_call\": %.2f, \"batch_ns_per_plan\": %.2f, "
-                 "\"speedup\": %.3f}%s\n",
+                 "\"flat_ns_per_call\": %.2f, \"speedup\": %.3f}%s\n",
                  r.d, r.plan_nodes, r.pool_size, r.tree_ns, r.flat_ns,
-                 r.batch_ns_per_plan, r.speedup,
+                 r.speedup,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"geomean_speedup\": %.3f\n}\n", geomean);

@@ -11,11 +11,11 @@
 //   svector       selectivity-vector computation (harness/engine side)
 //   index_probe   spatial-index range query / nearest-by-GL sweep
 //   sel_check     instance-list selectivity-check scan
-//   recost        scalar Recost calls (tree walks, one-off programs)
+//   recost        scalar Recost calls (one program each)
 //   optimize      full optimizer call on a miss
 //   manage_cache  Algorithm 2 bookkeeping (store-or-reuse, eviction)
-//   batch_recost  batched recost sweeps (RecostMany blocks and the
-//                 SIMD bundle's EvalMany passes)
+//   batch_recost  batched recost sweeps (the SIMD bundle's EvalMany
+//                 passes)
 #pragma once
 
 #include <chrono>

@@ -9,14 +9,15 @@
 // parameterized leaf selectivities and re-derives cardinality and cost
 // bottom-up — arithmetic only, no plan search — which is why it is orders
 // of magnitude cheaper than an optimizer call. The flat program makes the
-// arithmetic a single linear scan (see recost_program.h); the tree walker
-// remains as the reference path for hand-built CachedPlans.
+// arithmetic a single linear scan (see recost_program.h); batches of plans
+// run through RecostBundle (recost_bundle.h). The cost model's tree walker
+// is the reference oracle the program is checked against, not a serving
+// path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "common/effects.h"
@@ -34,8 +35,7 @@ namespace scrpqo {
 struct CachedPlan {
   PlanPtr plan;
   /// Flat postorder recost program compiled from `plan` at MakeCachedPlan
-  /// time; empty for hand-assembled CachedPlans (Recost then falls back to
-  /// the tree walker).
+  /// time. Never empty for a plan that reaches a PlanStore.
   RecostProgram program;
   uint64_t signature = 0;
   /// Memo size when the plan was produced vs. retained nodes — the basis of
@@ -68,74 +68,7 @@ class RecostService {
   double Recost(const CachedPlan& plan,
                 const SVector& sv) const {
     num_calls_.fetch_add(1, std::memory_order_relaxed);
-    return RecostNoCount(plan, sv);
-  }
-
-  /// \brief Batch Recost: scans `plans` in order, writing plans[i]'s cost
-  /// for `sv` into `out_costs[i]`. After each program scan `visit(i, cost)`
-  /// decides whether to continue (`true`) or stop early (`false`) — e.g.
-  /// the redundancy sweep stops once the running best already beats
-  /// lambda_r, and SCR's cost check stops at the first passing candidate.
-  /// Returns the number of plans actually re-costed (each is charged as
-  /// one Recost call).
-  ///
-  /// Runs of consecutive block-eligible programs (compiled, small, fully
-  /// bound — see RecostBlockEligible) execute through the 4-way pipelined
-  /// block interpreter; ineligible plans fall back to one scalar pass.
-  /// Visit order, per-plan costs, and — because billing counts only plans
-  /// the visitor saw — the charged call count are all identical to the
-  /// one-Run-per-plan loop; a mid-block early exit merely discards lane
-  /// results that were computed for free.
-  template <typename Visitor>
-  SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-  SCRPQO_LOCK_BOUNDED()
-  size_t RecostMany(std::span<const CachedPlan* const> plans,
-                    const SVector& sv, std::span<double> out_costs,
-                    Visitor&& visit) const {
-    SCRPQO_CHECK(out_costs.size() >= plans.size(),
-                 "RecostMany output span too small");
-    size_t visited = 0;
-    size_t i = 0;
-    bool stop = false;
-    while (i < plans.size() && !stop) {
-      const RecostProgram* progs[kRecostBlockLanes];
-      int n = 0;
-      while (n < kRecostBlockLanes && i + static_cast<size_t>(n) <
-                                          plans.size()) {
-        const RecostProgram& prog = plans[i + static_cast<size_t>(n)]->program;
-        if (!RecostBlockEligible(prog, sv.size())) break;
-        progs[n] = &prog;
-        ++n;
-      }
-      if (n >= 2) {
-        double costs[kRecostBlockLanes];
-        RunRecostBlock(progs, n, sv, cost_model_->params(), costs);
-        for (int l = 0; l < n; ++l) {
-          out_costs[i + static_cast<size_t>(l)] = costs[l];
-          ++visited;
-          if (!visit(i + static_cast<size_t>(l), costs[l])) {
-            stop = true;
-            break;
-          }
-        }
-        i += static_cast<size_t>(n);
-      } else {
-        const double c = RecostNoCount(*plans[i], sv);
-        out_costs[i] = c;
-        ++visited;
-        if (!visit(i, c)) stop = true;
-        ++i;
-      }
-    }
-    num_calls_.fetch_add(static_cast<int64_t>(visited),
-                         std::memory_order_relaxed);
-    return visited;
-  }
-
-  size_t RecostMany(std::span<const CachedPlan* const> plans,
-                    const SVector& sv, std::span<double> out_costs) const {
-    return RecostMany(plans, sv, out_costs,
-                      [](size_t, double) { return true; });
+    return plan.program.Run(sv, cost_model_->params());
   }
 
   int64_t num_calls() const {
@@ -151,13 +84,6 @@ class RecostService {
   }
 
  private:
-  double RecostNoCount(const CachedPlan& plan, const SVector& sv) const {
-    if (!plan.program.empty()) {
-      return plan.program.Run(sv, cost_model_->params());
-    }
-    return cost_model_->RecostTree(*plan.plan, sv);
-  }
-
   const CostModel* cost_model_;
   /// Relaxed atomic: bumped from the const hot path by concurrent getPlan
   /// readers (a plain mutable int64_t here would be a data race).

@@ -153,14 +153,28 @@ bool RecostBundle::ShapeMatches(const Group& g, const RecostProgram& program) {
 }
 
 bool RecostBundle::Add(int plan_id, const RecostProgram* program) {
-  if (program == nullptr || program->empty() ||
-      program->num_nodes() > bk::kMaxBundleSteps) {
-    return false;
-  }
+  if (program == nullptr || program->empty()) return false;
   SCRPQO_CHECK(plan_id >= 0, "negative plan id");
   SCRPQO_CHECK(!Contains(plan_id), "plan id already in recost bundle");
   if (static_cast<size_t>(plan_id) >= lane_of_.size()) {
     lane_of_.resize(static_cast<size_t>(plan_id) + 1, LaneRef{-1, -1});
+  }
+  if (program->num_nodes() > bk::kMaxBundleSteps) {
+    // Too deep for the kernels' fixed-size stacks: a one-lane group of its
+    // own with nothing packed, kept out of shape_index_ so no other plan
+    // (not even one of the same shape) ever joins it. With one live lane,
+    // EvalGroup always runs it through Run.
+    Group g;
+    g.plan_ids[0] = plan_id;
+    g.progs[0] = program;
+    g.num_active = 1;
+    g.max_slot = program->max_binding_slot();
+    max_slot_ = std::max(max_slot_, g.max_slot);
+    const int gi = static_cast<int>(groups_.size());
+    groups_.push_back(std::move(g));
+    lane_of_[static_cast<size_t>(plan_id)] = {gi, 0};
+    ++num_plans_;
+    return true;
   }
   const uint64_t h = ShapeHash(*program);
   const uint64_t bh = BindingHash(*program);
@@ -615,7 +629,9 @@ void RecostBundle::EvalGroup(const Group& g, const SVector& sv,
   // scrpqo-lint: hot-path begin
   if (g.num_active == 1) {
     // Sparse group: one scalar Run beats a vector pass that computes
-    // every padded lane for nothing.
+    // every padded lane for nothing. Every deep program's group (see Add)
+    // takes this branch, so no program longer than kMaxBundleSteps ever
+    // reaches a kernel.
     for (int l = 0; l < g.num_lanes(); ++l) {
       if (g.progs[l] != nullptr) {
         out_cost[l] = g.progs[l]->Run(sv, *prep.src);

@@ -29,8 +29,12 @@
 // arithmetic up to reassociation of parameter-only products and FMA
 // contraction, bounded at 1e-9 relative by the property suite.
 //
+// Programs longer than the kernels' kMaxBundleSteps stack get a one-lane
+// group each and run through RecostProgram::Run, so the bundle holds every
+// compiled plan and is the only batch-recost path.
+//
 // Accounting: EvalMany bills exactly the plans its visitor actually saw —
-// identical to the legacy one-Run-per-plan loop in every early-exit case —
+// identical to a one-Run-per-plan loop in every early-exit case —
 // while the lanes_active counter separately records lanes computed, so
 // the batching win is observable without perturbing recost-call metrics.
 //
@@ -72,10 +76,10 @@ class RecostBundle {
 
   /// Packs `program` (which must stay alive and unmoved until Remove —
   /// PlanStore guarantees this by holding plans behind shared_ptr) into a
-  /// lane of a shape-matching group, creating one if needed. Returns false
-  /// without mutating when the program is not bundleable (empty /
-  /// hand-built plan, or longer than kMaxBundleSteps) — the caller then
-  /// routes that plan over the scalar path.
+  /// lane of a shape-matching group, creating one if needed. A program
+  /// longer than kMaxBundleSteps gets a one-lane group of its own that
+  /// EvalMany evaluates with RecostProgram::Run. Returns false without
+  /// mutating only for a null or empty (never compiled) program.
   bool Add(int plan_id, const RecostProgram* program);
 
   /// Frees the plan's lane (tombstone). No-op when the plan was never
@@ -143,11 +147,10 @@ class RecostBundle {
   /// Evaluates `plan_ids` (every id must be Contains()) against `sv` in
   /// the given order, writing plan_ids[i]'s cost into out_costs[i] and
   /// calling visit(i, cost) after each — visit returns false to stop
-  /// early, exactly the RecostService::RecostMany contract. Each group is
-  /// evaluated at most once per call (its other requested lanes reuse the
-  /// cached pass — that is the batching win); the return value counts only
-  /// plans the visitor saw, matching the scalar loop's billing in every
-  /// early-exit case.
+  /// early. Each group is evaluated at most once per call (its other
+  /// requested lanes reuse the cached pass — that is the batching win);
+  /// the return value counts only plans the visitor saw, matching a
+  /// one-Run-per-plan loop's billing in every early-exit case.
   template <typename Visitor>
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
   SCRPQO_LOCK_BOUNDED()
@@ -356,7 +359,8 @@ class RecostBundle {
   void Compact();
 
   /// One pass over `g`: every lane's cost into out_cost[0..num_lanes()).
-  /// Single-live-lane groups short-circuit to the plan's own scalar Run.
+  /// Single-live-lane groups (every deep program's among them)
+  /// short-circuit to the plan's own scalar Run.
   void EvalGroup(const Group& g, const SVector& sv, const Prepared& prep,
                  double* out_cost) const;
 

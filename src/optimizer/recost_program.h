@@ -70,10 +70,8 @@ class RecostProgram {
 
   /// One postorder micro-op. Doubles first so the struct packs to 48 bytes
   /// with no interior padding — the whole stream is a dense sequential
-  /// read. Public (read-only via ops()) so the batched kernels —
-  /// RecostBundle's SoA packer and the 4-way pipelined block interpreter
-  /// in recost_program_run.h — can consume the stream without a second
-  /// compile path.
+  /// read. Public (read-only via ops()) so RecostBundle's SoA packer can
+  /// consume the stream without a second compile path.
   struct Op {
     // Meaning by kind:            a                b                  c
     //   TableScan/IndexScanOrd    base_rows        -                  -
@@ -91,8 +89,8 @@ class RecostProgram {
     uint8_t kind = 0;
   };
 
-  /// True for a default-constructed (never compiled) program — callers
-  /// fall back to the tree walker.
+  /// True for a default-constructed (never compiled) program. Run and
+  /// RecostBundle::Add refuse it; MakeCachedPlan never produces one.
   bool empty() const { return ops_.empty(); }
 
   /// Op count. At most the plan's node count — INLJ inner leaves are

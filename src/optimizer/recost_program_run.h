@@ -1,4 +1,4 @@
-// Inline definition of the RecostProgram evaluation kernels. Included at
+// Inline definition of the RecostProgram evaluation kernel. Included at
 // the bottom of recost_program.h — never include this file directly.
 //
 // The program is postorder, so evaluation is RPN on a tiny value stack:
@@ -7,16 +7,9 @@
 // The stack top stays in registers for the plan shapes the optimizer
 // emits, and the op stream is one dense sequential read.
 //
-// Two entry points share the per-op switch (RecostStepOp):
-//   RecostProgram::Run   one program, one sVector — the scalar path.
-//   RunRecostBlock       up to four programs against one sVector in
-//                        interleaved lockstep: one op per lane per round,
-//                        four independent stack/instruction-pointer sets.
-//                        The lanes' dependency chains are disjoint, so the
-//                        out-of-order core overlaps them (software
-//                        pipelining) — the guaranteed-everywhere batching
-//                        tier under RecostService::RecostMany, no SIMD
-//                        required.
+// RecostProgram::Run is the one scalar entry point: one program, one
+// sVector. Batches of plans go through RecostBundle (recost_bundle.h),
+// which calls Run for single-plan groups and programs too deep to pack.
 #pragma once
 
 #include "common/status.h"
@@ -26,9 +19,7 @@
 namespace scrpqo {
 
 /// Executes one micro-op against a value-stack pair. `sel` is the already
-/// computed leaf selectivity (folded literals times bound slots). Shared
-/// by the scalar scan and the pipelined block interpreter so the dispatch
-/// logic cannot drift between them.
+/// computed leaf selectivity (folded literals times bound slots).
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
 SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
 SCRPQO_VEC_INLINE void RecostStepOp(const RecostProgram::Op& op, double sel,
@@ -161,58 +152,6 @@ inline double RecostProgram::Run(const SVector& sv,
     cost_buf.resize(n);
   }
   return RunOps(sv, params, rows_buf.data(), cost_buf.data());
-}
-
-/// Lane count of the pipelined block interpreter.
-inline constexpr int kRecostBlockLanes = 4;
-
-/// True when `p` can run as one lane of RunRecostBlock for an sVector of
-/// `sv_size` dimensions: compiled, small enough for stack scratch, and
-/// fully bound by the vector.
-inline bool RecostBlockEligible(const RecostProgram& p,
-                                std::size_t sv_size) {
-  return !p.empty() &&
-         p.num_nodes() <= RecostProgram::kInlineSlots &&
-         p.max_binding_slot() < static_cast<int>(sv_size);
-}
-
-/// Runs `n` (1..4) flat programs against one sVector in interleaved
-/// lockstep and writes each program's cost into out_costs[0..n). Every
-/// program must satisfy RecostBlockEligible. Per-lane results are
-/// identical to RecostProgram::Run — only the evaluation order across
-/// lanes changes, which is what lets the core overlap the four
-/// independent dependency chains.
-SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
-inline void RunRecostBlock(const RecostProgram* const* progs, int n,
-                           const SVector& sv, const CostParams& params,
-                           double* out_costs) noexcept {
-  double rows_stk[kRecostBlockLanes][RecostProgram::kInlineSlots];
-  double cost_stk[kRecostBlockLanes][RecostProgram::kInlineSlots];
-  const RecostProgram::Op* ops[kRecostBlockLanes];
-  const int32_t* slots[kRecostBlockLanes];
-  size_t len[kRecostBlockLanes];
-  int sp[kRecostBlockLanes] = {0, 0, 0, 0};
-  const double* const s = sv.data();
-  size_t max_len = 0;
-  for (int l = 0; l < n; ++l) {
-    ops[l] = progs[l]->ops();
-    slots[l] = progs[l]->slots();
-    len[l] = static_cast<size_t>(progs[l]->num_nodes());
-    if (len[l] > max_len) max_len = len[l];
-  }
-  for (size_t i = 0; i < max_len; ++i) {
-    for (int l = 0; l < n; ++l) {
-      if (i >= len[l]) continue;
-      const RecostProgram::Op& op = ops[l][i];
-      double sel = op.sel_lit;
-      for (uint32_t k = op.sel_begin; k != op.sel_end; ++k) {
-        sel *= s[slots[l][k]];
-      }
-      RecostStepOp(op, sel, s, params, rows_stk[l], cost_stk[l], sp[l]);
-    }
-  }
-  for (int l = 0; l < n; ++l) out_costs[l] = cost_stk[l][0];
 }
 
 }  // namespace scrpqo

@@ -123,37 +123,12 @@ class EngineContext {
     return cost;
   }
 
-  /// Batched Recost (see RecostService::RecostMany): one call, N program
-  /// scans in 4-way pipelined blocks, visitor-controlled early exit. Each
-  /// visited plan is charged as one Recost call; the whole batch records
-  /// one latency sample ("engine.recost_batch_micros") and lands in the
-  /// span's batch_recost stage.
-  template <typename Visitor>
-  SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-  SCRPQO_LOCK_BOUNDED()
-  size_t RecostMany(std::span<const CachedPlan* const> plans,
-                    const SVector& sv, std::span<double> out_costs,
-                    Visitor&& visit) {
-    StageTimer timer(Stage::kBatchRecost, recost_batch_micros_);
-    size_t scanned;
-    if (FaultRegistry::Global().enabled()) [[unlikely]] {
-      scanned = recost_service_.RecostMany(
-          plans, sv, out_costs, [&](size_t i, double c) {
-            return visit(i, ApplyRecostFaults(c));
-          });
-    } else {
-      scanned = recost_service_.RecostMany(plans, sv, out_costs,
-                                           std::forward<Visitor>(visit));
-    }
-    if (recost_calls_ != nullptr) {
-      recost_calls_->Increment(static_cast<int64_t>(scanned));
-    }
-    return scanned;
-  }
-
-  /// SIMD-bundled Recost: evaluates `plan_ids` (all packed in `bundle`)
-  /// through grouped 4-lane passes, same visitor contract and billing as
-  /// RecostMany. The caller owns the bundle (PlanStore) and must hold its
+  /// Batched Recost: evaluates `plan_ids` (all packed in `bundle`)
+  /// through grouped 4-lane passes with visitor-controlled early exit
+  /// (see RecostBundle::EvalMany). Each visited plan is charged as one
+  /// Recost call; the whole batch records one latency sample
+  /// ("engine.recost_batch_micros") and lands in the span's batch_recost
+  /// stage. The caller owns the bundle (PlanStore) and must hold its
   /// shared lock across the call.
   template <typename Visitor>
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
@@ -179,14 +154,10 @@ class EngineContext {
     return visited;
   }
 
-  size_t RecostMany(std::span<const CachedPlan* const> plans,
-                    const SVector& sv, std::span<double> out_costs) {
-    return RecostMany(plans, sv, out_costs,
-                      [](size_t, double) { return true; });
-  }
-
   /// Uncharged recost used by evaluation machinery (computing SO of the
-  /// chosen plan) — not part of any technique's overhead.
+  /// chosen plan) — not part of any technique's overhead. Walks the plan
+  /// tree, so the measurement is independent of the compiled program the
+  /// technique served the plan with.
   [[nodiscard]] double RecostUncharged(const CachedPlan& plan,
                                        const SVector& sv) const {
     return optimizer_->cost_model().RecostTree(*plan.plan, sv);

@@ -26,8 +26,7 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
 
   if (lambda_r >= 1.0 && !live_ids_.empty()) {
     // Redundancy check: one batched Recost sweep over the live cached
-    // plans (one sVector bind, N program scans — grouped 4-lane bundle
-    // passes when every live plan is packed, pipelined blocks otherwise).
+    // plans (one sVector bind, grouped 4-lane bundle passes).
     // The sweep stops as soon as the running best is already within
     // lambda_r of optimal — the plan will be rejected either way, and the
     // entry records that plan's measured sub-optimality, so the lambda
@@ -49,20 +48,9 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
       }
       return min_cost > early_exit_below;
     };
-    std::span<double> cost_span(costs.data(), costs.size());
-    if (BundleComplete()) {
-      engine->RecostBundled(bundle_, std::span<const int>(live_ids_), sv,
-                            cost_span, sweep_visitor);
-    } else {
-      ArenaVec<const CachedPlan*> live_plans(arena, n);
-      for (int id : live_ids_) {
-        live_plans.push_back(entries_[static_cast<size_t>(id)].plan.get());
-      }
-      engine->RecostMany(
-          std::span<const CachedPlan* const>(live_plans.data(),
-                                             live_plans.size()),
-          sv, cost_span, sweep_visitor);
-    }
+    engine->RecostBundled(bundle_, std::span<const int>(live_ids_), sv,
+                          std::span<double>(costs.data(), costs.size()),
+                          sweep_visitor);
     if (min_pos < n && opt_cost > 0.0) {
       double s_min = min_cost / opt_cost;
       if (s_min <= lambda_r) {
@@ -87,9 +75,9 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   // Pack the stored plan's program into the SIMD bundle. The program's
   // address is stable: the CachedPlan sits behind a shared_ptr that Drop
   // releases only after unpacking it from the bundle.
-  if (!bundle_.Add(id, &entries_[static_cast<size_t>(id)].plan->program)) {
-    ++num_unbundled_;
-  }
+  const bool bundled =
+      bundle_.Add(id, &entries_[static_cast<size_t>(id)].plan->program);
+  SCRPQO_CHECK(bundled, "stored plan has no compiled recost program");
   result.plan_id = id;
   result.subopt = 1.0;
   return result;
@@ -102,11 +90,7 @@ void PlanStore::Drop(int plan_id) {
   live_ids_.erase(
       std::lower_bound(live_ids_.begin(), live_ids_.end(), plan_id));
   by_signature_.erase(e.plan->signature);
-  if (bundle_.Contains(plan_id)) {
-    bundle_.Remove(plan_id);
-  } else {
-    --num_unbundled_;
-  }
+  bundle_.Remove(plan_id);
   // The bundle no longer points into the program: the store's reference
   // is the last one unless a caller still holds the plan.
   e.plan.reset();

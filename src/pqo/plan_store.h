@@ -104,17 +104,10 @@ class PlanStore {
   int64_t NumLive() const { return static_cast<int64_t>(live_ids_.size()); }
   int64_t Peak() const { return peak_; }
 
-  /// The SIMD recost bundle packing the live plans' flat programs,
+  /// The SIMD recost bundle packing every live plan's flat program,
   /// maintained by StoreOrReuse/Drop. Readers (SCR's cost check) must
   /// hold the owning technique's shared lock.
   const RecostBundle& bundle() const { return bundle_; }
-
-  /// True when every live plan is packed in bundle() — the precondition
-  /// for serving a sweep or cost check entirely from the bundle. False
-  /// while any live plan was rejected by RecostBundle::Add (hand-built /
-  /// restored plans with no compiled program, or programs too long to
-  /// pack); those revert the affected sweeps to the scalar path.
-  bool BundleComplete() const { return num_unbundled_ == 0; }
 
   /// Wires the bundle's batching telemetry ("recost.lanes_active",
   /// "recost.bundle_rebuilds"); either may be nullptr.
@@ -136,8 +129,6 @@ class PlanStore {
   std::vector<int> live_ids_;
   int64_t peak_ = 0;
   RecostBundle bundle_;
-  /// Live plans RecostBundle::Add rejected (see BundleComplete).
-  int64_t num_unbundled_ = 0;
 };
 
 }  // namespace scrpqo

@@ -362,14 +362,11 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   if (cost_check_candidates_ != nullptr) {
     cost_check_candidates_->Record(static_cast<double>(candidates.size()));
   }
-  // One batched Recost sweep: the sVector is bound once and each candidate
-  // costs one flat program scan, in the heuristic order fixed above —
-  // grouped 4-lane bundle passes when every cached plan is packed,
-  // pipelined blocks otherwise. The visitor stops the sweep at the first
-  // candidate that passes its bound, and both forms bill visited plans
-  // only, so the Recost-call count is identical to the old
-  // one-call-per-loop form (Section 7.3's overhead accounting depends on
-  // this).
+  // One batched Recost sweep over the plan store's bundle, in the
+  // heuristic order fixed above. The visitor stops the sweep at the first
+  // candidate that passes its bound, and the bundle bills visited plans
+  // only, so the Recost-call count is identical to a one-call-per-
+  // candidate loop (Section 7.3's overhead accounting depends on this).
   int recosts = 0;
   int hit = -1;
   double hit_r = 0.0;
@@ -419,26 +416,14 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
       }
       return true;
     };
-    if (store_.BundleComplete()) {
-      ArenaVec<int> cand_ids(arena, candidates.size());
-      for (const Candidate& c : candidates) {
-        cand_ids.push_back(instances_[c.entry].plan_id);
-      }
-      engine->RecostBundled(
-          store_.bundle(),
-          std::span<const int>(cand_ids.data(), cand_ids.size()), sv,
-          cost_span, cost_visitor);
-    } else {
-      ArenaVec<const CachedPlan*> cand_plans(arena, candidates.size());
-      for (const Candidate& c : candidates) {
-        cand_plans.push_back(
-            store_.entry(instances_[c.entry].plan_id).plan.get());
-      }
-      engine->RecostMany(
-          std::span<const CachedPlan* const>(cand_plans.data(),
-                                             cand_plans.size()),
-          sv, cost_span, cost_visitor);
+    ArenaVec<int> cand_ids(arena, candidates.size());
+    for (const Candidate& c : candidates) {
+      cand_ids.push_back(instances_[c.entry].plan_id);
     }
+    engine->RecostBundled(
+        store_.bundle(),
+        std::span<const int>(cand_ids.data(), cand_ids.size()), sv,
+        cost_span, cost_visitor);
   }
   if (hit >= 0) {
     const Candidate& c = candidates[static_cast<size_t>(hit)];

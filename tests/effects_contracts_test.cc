@@ -35,16 +35,8 @@ static_assert(noexcept(std::declval<const RecostProgram&>().Run(
                   std::declval<const SVector&>(),
                   std::declval<const CostParams&>())),
               "RecostProgram::Run must stay noexcept: the effect analyzer "
-              "proves it non-throwing (SCRPQO_NOTHROW) and RecostService's "
-              "hot loop relies on it");
-
-static_assert(noexcept(RunRecostBlock(
-                  std::declval<const RecostProgram* const*>(), 4,
-                  std::declval<const SVector&>(),
-                  std::declval<const CostParams&>(),
-                  std::declval<double*>())),
-              "RunRecostBlock (the 4-way pipelined block interpreter) must "
-              "stay noexcept");
+              "proves it non-throwing (SCRPQO_NOTHROW) and RecostBundle's "
+              "scalar groups rely on it");
 
 static_assert(noexcept(RecostStepOp(std::declval<const RecostProgram::Op&>(),
                                     1.0, std::declval<const double*>(),

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <span>
@@ -25,6 +26,7 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
 #include "optimizer/recost_bundle.h"
+#include "pqo/plan_store.h"
 #include "pqo/scr.h"
 #include "query/selectivity_program.h"
 #include "tests/test_util.h"
@@ -369,6 +371,286 @@ TEST_F(RecostBundleTest, SameTemplatePlansPackOntoFastPaths) {
   // Every step whose cells are uniform on one slot list must carry the
   // hoist; the join template's leaves bind slots, so at least one does.
   EXPECT_GT(st.steps_shared, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Deep programs and shape-diverse pools: programs longer than the kernels'
+// kMaxBundleSteps stack, and more distinct shapes than EvalMany's stack
+// scratch covers (the ScratchArena branch). Every plan below is alone in
+// its group, so every cost it gets is that plan's own scalar Run: the
+// checks are bitwise.
+// ---------------------------------------------------------------------------
+
+PlanPtr LeafNode(PhysicalOpKind kind, double base_rows, int slot) {
+  auto leaf = std::make_shared<PhysicalPlanNode>();
+  leaf->kind = kind;
+  leaf->leaf.table_index = 0;
+  leaf->leaf.table = "t";
+  leaf->leaf.base_rows = base_rows;
+  PredSpec param;
+  param.column = "c";
+  param.param_slot = slot;
+  PredSpec literal;
+  literal.column = "d";
+  literal.literal_sel = 0.5;
+  leaf->leaf.preds = {param, literal};
+  return leaf;
+}
+
+PlanPtr Unary(PhysicalOpKind kind, PlanPtr child) {
+  auto n = std::make_shared<PhysicalPlanNode>();
+  n->kind = kind;
+  n->sort_key = SortKey{0, "c"};
+  n->agg.group_distinct = 50.0;
+  n->children = {std::move(child)};
+  return n;
+}
+
+std::unique_ptr<CachedPlan> Cached(PlanPtr root, uint64_t signature) {
+  auto c = std::make_unique<CachedPlan>();
+  c->program = RecostProgram::Compile(*root);
+  c->plan = std::move(root);
+  c->signature = signature;
+  return c;
+}
+
+/// `sorts` Sorts over a leaf binding `slot`, optionally under a
+/// HashAggregate: sorts + 1 (+ 1) program steps.
+std::unique_ptr<CachedPlan> SortChain(int sorts, PhysicalOpKind leaf_kind,
+                                      bool agg, double base_rows, int slot,
+                                      uint64_t signature) {
+  PlanPtr node = LeafNode(leaf_kind, base_rows, slot);
+  for (int i = 0; i < sorts; ++i) node = Unary(PhysicalOpKind::kSort, node);
+  if (agg) node = Unary(PhysicalOpKind::kHashAggregate, node);
+  return Cached(std::move(node), signature);
+}
+
+/// Right-deep hash-join chain over `leaves` scans: 2 * leaves - 1 steps,
+/// and every leaf is pushed before the first join pops, so the value
+/// stack grows `leaves` deep.
+std::unique_ptr<CachedPlan> JoinChain(int leaves, double base_rows,
+                                      uint64_t signature) {
+  PlanPtr node = LeafNode(PhysicalOpKind::kTableScan, base_rows, 0);
+  for (int i = 1; i < leaves; ++i) {
+    auto join = std::make_shared<PhysicalPlanNode>();
+    join->kind = PhysicalOpKind::kHashJoin;
+    join->join.join_sel = 0.004;
+    join->children = {LeafNode(PhysicalOpKind::kTableScan,
+                               base_rows + 10.0 * i, i % 2),
+                      node};
+    node = join;
+  }
+  return Cached(std::move(node), signature);
+}
+
+std::vector<SVector> SweepVectors() {
+  Pcg32 rng(91);
+  std::vector<SVector> svs;
+  for (int k = 0; k < 6; ++k) {
+    svs.push_back(
+        {rng.UniformDouble(0.001, 1.0), rng.UniformDouble(0.001, 1.0)});
+  }
+  return svs;
+}
+
+TEST_F(RecostBundleTest, ShapeDiversePoolMatchesRunAndTree) {
+  // 80 distinct shapes: more groups than EvalMany's stack scratch holds.
+  std::vector<std::unique_ptr<CachedPlan>> plans;
+  for (int sorts = 0; sorts < 40; ++sorts) {
+    for (PhysicalOpKind leaf : {PhysicalOpKind::kTableScan,
+                                PhysicalOpKind::kIndexScanOrdered}) {
+      plans.push_back(SortChain(sorts, leaf, false, 2000.0 + 37.0 * sorts,
+                                sorts % 2, plans.size()));
+    }
+  }
+  const CostModel model;
+  const CostParams& params = model.params();
+  RecostBundle bundle;
+  std::vector<int> ids;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ASSERT_TRUE(bundle.Add(static_cast<int>(i), &plans[i]->program));
+    ids.push_back(static_cast<int>(i));
+  }
+  // Request order differs from group order.
+  std::reverse(ids.begin(), ids.end());
+  for (const SVector& sv : SweepVectors()) {
+    std::vector<double> costs(ids.size(), -1.0);
+    size_t visited =
+        bundle.EvalMany(std::span<const int>(ids), sv, params,
+                        std::span<double>(costs),
+                        [](size_t, double) { return true; });
+    ASSERT_EQ(visited, ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const CachedPlan& p = *plans[static_cast<size_t>(ids[i])];
+      EXPECT_EQ(costs[i], p.program.Run(sv, params)) << "id " << ids[i];
+      const double tree = model.RecostTree(*p.plan, sv);
+      EXPECT_NEAR(costs[i], tree, std::abs(tree) * 1e-9) << "id " << ids[i];
+    }
+    for (size_t stop_at : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                           ids.size() - 1}) {
+      size_t seen = 0;
+      visited = bundle.EvalMany(std::span<const int>(ids), sv, params,
+                                std::span<double>(costs),
+                                [&](size_t idx, double) {
+                                  ++seen;
+                                  return idx != stop_at;
+                                });
+      EXPECT_EQ(visited, stop_at + 1);
+      EXPECT_EQ(seen, stop_at + 1);
+    }
+  }
+}
+
+TEST_F(RecostBundleTest, DeepProgramsRunScalarInOwnGroups) {
+  // Same-shape pairs deeper than kMaxBundleSteps (the join pair also needs
+  // a 70-deep value stack) beside a shallow pair that does share a group.
+  std::vector<std::unique_ptr<CachedPlan>> plans;
+  plans.push_back(
+      SortChain(70, PhysicalOpKind::kTableScan, false, 5000.0, 0, 0));
+  plans.push_back(
+      SortChain(70, PhysicalOpKind::kTableScan, false, 20000.0, 1, 1));
+  plans.push_back(JoinChain(70, 1000.0, 2));
+  plans.push_back(JoinChain(70, 700.0, 3));
+  plans.push_back(SortChain(3, PhysicalOpKind::kTableScan, true, 800.0, 1, 4));
+  plans.push_back(SortChain(3, PhysicalOpKind::kTableScan, true, 900.0, 0, 5));
+  const size_t num_deep = 4;
+  const CostModel model;
+  const CostParams& params = model.params();
+
+  RecostBundle shallow_only;
+  RecostBundle bundle;
+  std::vector<int> ids;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ASSERT_TRUE(bundle.Add(static_cast<int>(i), &plans[i]->program));
+    if (i >= num_deep) {
+      ASSERT_TRUE(shallow_only.Add(static_cast<int>(i), &plans[i]->program));
+    }
+    ids.push_back(static_cast<int>(i));
+  }
+  EXPECT_EQ(bundle.num_plans(), static_cast<int>(plans.size()));
+  // Nothing of a deep program is packed: every packed step belongs to the
+  // shallow pair's group.
+  EXPECT_EQ(bundle.pack_stats().steps_total,
+            shallow_only.pack_stats().steps_total);
+
+  auto check = [&](const std::vector<int>& want_ids, const SVector& sv) {
+    std::vector<double> costs(want_ids.size(), -1.0);
+    size_t visited = bundle.EvalMany(std::span<const int>(want_ids), sv,
+                                     params, std::span<double>(costs),
+                                     [](size_t, double) { return true; });
+    ASSERT_EQ(visited, want_ids.size());
+    for (size_t i = 0; i < want_ids.size(); ++i) {
+      const size_t id = static_cast<size_t>(want_ids[i]);
+      const double run = plans[id]->program.Run(sv, params);
+      if (id < num_deep) {
+        EXPECT_EQ(costs[i], run) << "id " << id;
+      } else {
+        EXPECT_NEAR(costs[i], run, std::abs(run) * 1e-9) << "id " << id;
+      }
+      const double tree = model.RecostTree(*plans[id]->plan, sv);
+      EXPECT_NEAR(costs[i], tree, std::abs(tree) * 1e-9) << "id " << id;
+    }
+  };
+  for (const SVector& sv : SweepVectors()) {
+    check(ids, sv);
+    for (size_t stop_at = 0; stop_at < ids.size(); ++stop_at) {
+      std::vector<double> costs(ids.size());
+      size_t seen = 0;
+      size_t visited = bundle.EvalMany(std::span<const int>(ids), sv, params,
+                                       std::span<double>(costs),
+                                       [&](size_t idx, double) {
+                                         ++seen;
+                                         return idx != stop_at;
+                                       });
+      EXPECT_EQ(visited, stop_at + 1);
+      EXPECT_EQ(seen, stop_at + 1);
+    }
+  }
+
+  // Evicting through the tombstone compaction rebuilds the deep survivor
+  // into a one-lane group again.
+  for (int id : {0, 2, 4, 1}) bundle.Remove(id);
+  EXPECT_GE(bundle.rebuilds(), 1) << "compaction should have triggered";
+  EXPECT_EQ(bundle.num_plans(), 2);
+  EXPECT_EQ(bundle.pack_stats().steps_total,
+            plans[5]->program.num_nodes());
+  for (const SVector& sv : SweepVectors()) check({3, 5}, sv);
+}
+
+TEST_F(RecostBundleTest, DeepPlansSweepLikePerPlanRun) {
+  optimizer_ = std::make_unique<Optimizer>(&db_);
+  EngineContext engine(&db_, optimizer_.get());
+  const CostModel& model = optimizer_->cost_model();
+  const CostParams& params = model.params();
+  // Plan id i is plans[i]: the store hands out ids in insertion order.
+  // Deep plans come in same-shape pairs (a pair that shared a group would
+  // reach a kernel); the join pair also needs a 70-deep value stack.
+  std::vector<std::unique_ptr<CachedPlan>> plans;
+  plans.push_back(
+      SortChain(70, PhysicalOpKind::kTableScan, false, 5000.0, 0, 1));
+  plans.push_back(SortChain(3, PhysicalOpKind::kTableScan, true, 800.0, 1, 2));
+  plans.push_back(
+      SortChain(70, PhysicalOpKind::kTableScan, false, 20000.0, 1, 3));
+  plans.push_back(JoinChain(70, 1000.0, 4));
+  plans.push_back(
+      SortChain(90, PhysicalOpKind::kIndexScanOrdered, true, 9000.0, 0, 5));
+  plans.push_back(JoinChain(70, 700.0, 6));
+  for (const auto& p : plans) {
+    if (p->signature != 2) {
+      ASSERT_GT(p->program.num_nodes(), 64);
+    }
+  }
+  const auto candidate =
+      SortChain(5, PhysicalOpKind::kTableScan, false, 3000.0, 0, 100);
+  const double lambda_r = 2.0;
+
+  for (const SVector& sv : SweepVectors()) {
+    std::vector<double> run;
+    for (const auto& p : plans) {
+      run.push_back(p->program.Run(sv, params));
+      const double tree = model.RecostTree(*p->plan, sv);
+      EXPECT_NEAR(run.back(), tree, std::abs(tree) * 1e-9);
+    }
+    // opt_cost = run[k] / lambda_r stops the sweep at the first plan
+    // within lambda_r; the tiny opt_cost scans everything and stores the
+    // candidate.
+    std::vector<double> opt_costs;
+    for (double c : run) opt_costs.push_back(c / lambda_r);
+    opt_costs.push_back(*std::min_element(run.begin(), run.end()) * 1e-3);
+    for (double opt_cost : opt_costs) {
+      PlanStore store;
+      for (const auto& p : plans) {
+        store.StoreOrReuse(*p, sv, 1.0, -1.0, &engine);
+      }
+      ASSERT_EQ(store.NumLive(), static_cast<int64_t>(plans.size()));
+      // Mirror of StoreOrReuse's sweep over per-plan Run costs.
+      double min_cost = std::numeric_limits<double>::infinity();
+      size_t min_pos = 0;
+      int64_t visited = 0;
+      for (size_t i = 0; i < run.size(); ++i) {
+        ++visited;
+        if (run[i] < min_cost) {
+          min_cost = run[i];
+          min_pos = i;
+        }
+        if (min_cost <= lambda_r * opt_cost) break;
+      }
+      const int64_t before = engine.num_recost_calls();
+      PlanStore::StoreResult r =
+          store.StoreOrReuse(*candidate, sv, opt_cost, lambda_r, &engine);
+      EXPECT_EQ(engine.num_recost_calls() - before, visited);
+      const double s_min = min_cost / opt_cost;
+      if (s_min <= lambda_r) {
+        EXPECT_TRUE(r.reused_existing);
+        EXPECT_EQ(r.plan_id, static_cast<int>(min_pos));
+        EXPECT_EQ(r.subopt, s_min);
+      } else {
+        EXPECT_FALSE(r.reused_existing);
+        EXPECT_EQ(r.plan_id, static_cast<int>(plans.size()));
+        EXPECT_EQ(r.subopt, 1.0);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
