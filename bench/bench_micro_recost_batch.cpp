@@ -31,6 +31,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "optimizer/optimizer.h"
@@ -44,31 +45,45 @@ namespace {
 
 using namespace scrpqo;
 
-/// ns per op of `fn` — same min-of-16-windows harness as
-/// bench_micro_recost_flat (the minimum is the noise-robust statistic on a
-/// shared container).
+/// Iterations of `fn` that fill a ~10ms window (doubling from 8).
 template <typename Fn>
-double TimeNsPerOp(Fn&& fn) {
+int64_t CalibrateIters(Fn& fn) {
   fn();
   int64_t iters = 8;
-  double ns = 0.0;
   for (;;) {
     auto t0 = std::chrono::steady_clock::now();
     for (int64_t i = 0; i < iters; ++i) fn();
     auto t1 = std::chrono::steady_clock::now();
-    ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (ns >= 1e7 || iters >= (int64_t{1} << 30)) break;
+    double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+    if (ns >= 1e7 || iters >= (int64_t{1} << 30)) return iters;
     iters *= 2;
   }
-  double best = ns / static_cast<double>(iters);
+}
+
+template <typename Fn>
+double WindowNsPerOp(Fn& fn, int64_t iters) {
+  auto t0 = std::chrono::steady_clock::now();
+  for (int64_t i = 0; i < iters; ++i) fn();
+  auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(iters);
+}
+
+/// ns per op of `a` and of `b`, each the minimum over 16 windows (the
+/// noise-robust statistic on a shared host). The two sides' windows
+/// alternate, so a burst of machine noise lands on both sides rather
+/// than on whichever happened to be timed during it.
+template <typename FnA, typename FnB>
+std::pair<double, double> TimePairNsPerOp(FnA&& a, FnB&& b) {
+  const int64_t iters_a = CalibrateIters(a);
+  const int64_t iters_b = CalibrateIters(b);
+  double best_a = WindowNsPerOp(a, iters_a);
+  double best_b = WindowNsPerOp(b, iters_b);
   for (int rep = 0; rep < 15; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < iters; ++i) fn();
-    auto t1 = std::chrono::steady_clock::now();
-    ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-    best = std::min(best, ns / static_cast<double>(iters));
+    best_a = std::min(best_a, WindowNsPerOp(a, iters_a));
+    best_b = std::min(best_b, WindowNsPerOp(b, iters_b));
   }
-  return best;
+  return {best_a, best_b};
 }
 
 struct PoolResult {
@@ -152,30 +167,28 @@ PoolResult RunPool(const BenchmarkDb& rd2, int m) {
   const double n_plans = static_cast<double>(ids.size());
   double sink = 0.0;
 
-  // Flat-sequential: the pre-bundle sweep — m independent program scans.
-  out.flat_ns_per_plan = TimeNsPerOp([&] {
-                           for (const SVector* sv : svs) {
-                             for (const auto& p : pool) {
-                               sink += p->program.Run(*sv, params);
-                             }
-                           }
-                         }) /
-                         (n_sv * n_plans);
-
   // Prepared once, like EngineContext::RecostBundled does for the life of
   // the serving context — the sweep itself is what production pays per sv.
   const RecostBundle::Prepared prep = RecostBundle::Prepare(params);
   std::vector<double> costs(ids.size());
-  out.bundle_ns_per_plan =
-      TimeNsPerOp([&] {
+  const auto [flat_ns, bundle_ns] = TimePairNsPerOp(
+      // Flat-sequential: the pre-bundle sweep — m independent program
+      // scans.
+      [&] {
+        for (const SVector* sv : svs) {
+          for (const auto& p : pool) sink += p->program.Run(*sv, params);
+        }
+      },
+      [&] {
         for (const SVector* sv : svs) {
           bundle.EvalMany(std::span<const int>(ids), *sv, prep,
                           std::span<double>(costs),
                           [](size_t, double) { return true; });
           sink += costs[0];
         }
-      }) /
-      (n_sv * n_plans);
+      });
+  out.flat_ns_per_plan = flat_ns / (n_sv * n_plans);
+  out.bundle_ns_per_plan = bundle_ns / (n_sv * n_plans);
 
   out.speedup = out.flat_ns_per_plan / out.bundle_ns_per_plan;
   if (sink == 42.0) std::printf("#");  // defeat whole-loop elision

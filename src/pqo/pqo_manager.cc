@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/effects.h"
 #include "obs/emit.h"
 #include "obs/scoped_timer.h"
 
@@ -84,17 +85,51 @@ void PqoManager::SetObs(const ObsHooks& hooks) {
 
 PqoManager::StatePtr PqoManager::GetOrCreate(const std::string& key) {
   Shard& shard = ShardFor(key);
-  ShardLock lock(*this, shard);
-  auto it = shard.templates.find(key);
-  if (it != shard.templates.end()) return it->second;
-  // The key is baked into the state before publication, so lock-free
-  // readers (StatuszJson) never observe a half-written identity.
-  auto st = std::make_shared<TemplateState>(key);
-  shard.templates.emplace(key, st);
+  StatePtr st;
+  std::unique_ptr<const TemplateView> replaced;
+  {
+    ShardLock lock(*this, shard);
+    auto it = shard.templates.find(key);
+    if (it != shard.templates.end()) return it->second;
+    // The key is baked into the state before publication, so lock-free
+    // readers (StatuszJson, the warm route) never observe a half-written
+    // identity.
+    st = std::make_shared<TemplateState>(key);
+    shard.templates.emplace(key, st);
+    replaced = PublishLocked(shard);
+  }
   if (Counter* c = templates_created_.load(std::memory_order_relaxed)) {
     c->Increment();
   }
+  // Warm readers may still be walking the replaced view.
+  grace_.Synchronize();
   return st;
+}
+
+std::unique_ptr<const PqoManager::TemplateView> PqoManager::PublishLocked(
+    Shard& shard) {
+  auto view = std::make_unique<TemplateView>();
+  for (const auto& entry : shard.templates) {
+    const TemplateState* st = entry.second.get();
+    view->emplace(st->key, st);
+  }
+  // seq_cst, not just release: GracePeriod's argument needs the
+  // unpublishing store and the readers' loads in one total order with the
+  // reader counters (common/grace_period.h).
+  return std::unique_ptr<const TemplateView>(
+      shard.view.exchange(view.release(), std::memory_order_seq_cst));
+}
+
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+AsyncScr* PqoManager::FindReadyAsync(const std::string& key,
+                                     const TemplateState** state) const {
+  const TemplateView* view =
+      ShardFor(key).view.load(std::memory_order_seq_cst);
+  if (view == nullptr) return nullptr;
+  auto it = view->find(key);
+  if (it == view->end()) return nullptr;
+  *state = it->second;
+  return it->second->ready_async.load(std::memory_order_acquire);
 }
 
 std::vector<PqoManager::StatePtr> PqoManager::AllStates() const {
@@ -169,6 +204,8 @@ void PqoManager::FinishWarmupLocked(TemplateState* st) {
     st->sync_scr->SetObs(hooks);
   }
   st->ready = true;
+  // Publishes the fully configured cache to the warm route.
+  st->ready_async.store(st->async_scr.get(), std::memory_order_release);
 }
 
 PlanChoice PqoManager::OnInstance(const std::string& template_key,
@@ -178,6 +215,24 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
   // (shard-lock wait, the cache's checks, engine calls) accumulates into
   // one breakdown that the emitting technique copies onto its event.
   GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
+  if (options_.use_async) {
+    // Warm route: no lock, no refcount. The read section keeps the state
+    // and its cache alive across the call; the budget step runs after it
+    // closes, so the sweep's locks never sit inside a read section.
+    const TemplateState* served = nullptr;
+    AsyncScr* async = nullptr;
+    PlanChoice choice;
+    {
+      GracePeriod::ReadSection read(grace_);
+      async = FindReadyAsync(template_key, &served);
+      if (async != nullptr) choice = async->OnInstance(wi, engine);
+    }
+    if (async != nullptr) {
+      EnforceBudgetAfter(choice, served, wi.id);
+      return choice;
+    }
+  }
+  // Cold route: first sight of the template, warm-up, or a sync Scr.
   StatePtr st = GetOrCreate(template_key);
   TemplateState* state = st.get();
   PlanChoice choice;
@@ -265,13 +320,18 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
     return choice;
   }
   if (async != nullptr) choice = async->OnInstance(wi, engine);
+  EnforceBudgetAfter(choice, state, wi.id);
+  return choice;
+}
 
+void PqoManager::EnforceBudgetAfter(const PlanChoice& choice,
+                                    const TemplateState* current,
+                                    int instance_id) {
   if (choice.optimized && (options_.global_plan_budget > 0 ||
                            options_.global_memory_bytes > 0)) {
     uint64_t pin = choice.plan != nullptr ? choice.plan->signature : 0;
-    EnforceGlobalBudget(state, pin, wi.id);
+    EnforceGlobalBudget(current, pin, instance_id);
   }
-  return choice;
 }
 
 int64_t PqoManager::StatePlans(const TemplateState& st) const {
@@ -306,7 +366,7 @@ bool PqoManager::StateEvictOne(TemplateState* st, int instance_id,
              : st->sync_scr->EvictLfuPlan(instance_id, pinned_signature);
 }
 
-void PqoManager::EnforceGlobalBudget(TemplateState* current,
+void PqoManager::EnforceGlobalBudget(const TemplateState* current,
                                      uint64_t pinned_signature,
                                      int instance_id) {
   if (options_.global_plan_budget <= 0 && options_.global_memory_bytes <= 0) {
@@ -381,6 +441,7 @@ int64_t PqoManager::TotalMemoryBytes() const {
 
 void PqoManager::InvalidateTemplate(const std::string& template_key) {
   StatePtr doomed;
+  std::unique_ptr<const TemplateView> replaced;
   {
     Shard& shard = ShardFor(template_key);
     ShardLock lock(*this, shard);
@@ -388,13 +449,19 @@ void PqoManager::InvalidateTemplate(const std::string& template_key) {
     if (it == shard.templates.end()) return;
     doomed = std::move(it->second);
     shard.templates.erase(it);
+    replaced = PublishLocked(shard);
   }
   if (Counter* c = invalidations_.load(std::memory_order_relaxed)) {
     c->Increment();
   }
-  // `doomed` is destroyed here, outside the shard lock; in-flight
-  // OnInstance calls holding their own reference finish on the detached
-  // cache first (AsyncScr's destructor then joins its worker).
+  // No lock held: wait until every warm call that could have found the
+  // state in the replaced view has returned, then free both. A cold-path
+  // call holding its own shared_ptr keeps the state until it returns;
+  // either way the last holder destroys it (AsyncScr's destructor then
+  // joins its worker).
+  grace_.Synchronize();
+  replaced.reset();
+  doomed.reset();
 }
 
 double PqoManager::LambdaFor(const std::string& template_key) const {

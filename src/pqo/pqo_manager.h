@@ -7,10 +7,17 @@
 // process-wide budget. PqoManager provides that serving layer:
 //
 //  - template_key hashes into one of N shards (N ~ hardware_concurrency,
-//    overridable), each shard owning a mutex and its template -> cache map.
-//    The shard lock guards only map lookup/insert/erase — never an
-//    optimizer call or a cache operation — so OnInstance from M threads
-//    over T templates never serializes globally.
+//    overridable). Each shard owns a writer mutex, its template -> state
+//    map, and an immutable copy of that map published through an atomic
+//    pointer. The copy is rebuilt only when a template is created or
+//    invalidated.
+//  - a warm request on a ready AsyncScr template takes no lock and touches
+//    no shared refcount: inside a read section of the manager's
+//    GracePeriod (common/grace_period.h) it loads the shard's published
+//    map, finds the state, loads its ready AsyncScr pointer and serves
+//    through the cache's own shared lock. Warm-up and synchronous Scr
+//    templates take the shard lock and the template-state mutex instead;
+//    neither lock is ever held across an optimizer call.
 //  - per-template caches are Scr by default or AsyncScr when
 //    `use_async` is set; AsyncScr-backed templates serve concurrent
 //    getPlan traffic under the technique's own shared lock, while plain
@@ -20,9 +27,10 @@
 //    enforced by cross-template LFU eviction reusing the PlanStore usage
 //    counters; each eviction emits a kEvicted decision event through the
 //    attached tracer and bumps "pqo_manager.global_evictions".
-//  - template states are held by shared_ptr, so InvalidateTemplate can
-//    drop a template while requests are in flight on it: the erased cache
-//    dies when its last in-flight call returns.
+//  - InvalidateTemplate unlinks a state, republishes the shard map and
+//    waits out a grace period with no lock held: in-flight warm calls
+//    finish on the detached cache, which is freed as soon as they (and
+//    any cold-path caller holding the state's shared_ptr) have returned.
 //
 // Metrics (when SetObs attaches a registry): "pqo_manager.shard_lock_wait"
 // (micros histogram), "pqo_manager.templates" (templates ever created),
@@ -35,9 +43,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/grace_period.h"
 #include "common/thread_annotations.h"
 #include "pqo/async_scr.h"
 #include "pqo/scr.h"
@@ -143,7 +153,7 @@ class PqoManager {
   /// One template's serving state. `mu` guards the warm-up fields and, for
   /// sync (non-async) caches, serializes every cache operation; an
   /// AsyncScr cache handles its own locking, so post-warm-up traffic on it
-  /// takes no manager lock at all.
+  /// takes no manager lock at all (see FindReadyAsync).
   struct TemplateState {
     explicit TemplateState(std::string k) : key(std::move(k)) {}
 
@@ -174,12 +184,27 @@ class PqoManager {
     /// is deliberately NOT (OnInstance snapshots the raw pointer under mu,
     /// then serves through AsyncScr's own shared lock with mu released).
     std::unique_ptr<AsyncScr> async_scr GUARDED_BY(mu);
+    /// `async_scr.get()` once warm-up is done, published with release
+    /// order by FinishWarmupLocked and never changed afterwards: the warm
+    /// route reads it without mu. Null for sync Scr templates.
+    std::atomic<AsyncScr*> ready_async{nullptr};
   };
   using StatePtr = std::shared_ptr<TemplateState>;
+  /// A shard's published, immutable template map. Keys view the states'
+  /// const `key`; every state in a published view is alive until the
+  /// view is replaced and a grace period has passed.
+  using TemplateView =
+      std::map<std::string_view, const TemplateState*, std::less<>>;
 
   struct Shard {
+    ~Shard() { delete view.load(std::memory_order_relaxed); }
+
+    /// Guards writers only: `templates` and replacing `view`.
     mutable Mutex mu;
     std::map<std::string, StatePtr> templates GUARDED_BY(mu);
+    /// Copy of `templates` for lock-free readers (null = no templates).
+    /// Replaced under mu; the replaced view is freed after a grace period.
+    std::atomic<const TemplateView*> view{nullptr};
   };
 
   /// Scoped shard hold that records the acquisition wait into
@@ -201,6 +226,20 @@ class PqoManager {
 
   Shard& ShardFor(const std::string& key) const;
   StatePtr GetOrCreate(const std::string& key);
+
+  /// The warm route's lookup: the ready AsyncScr of `key`'s template, or
+  /// null when the template is unknown, still warming up or backed by a
+  /// sync Scr; `*state` receives the state found. Takes no lock and copies
+  /// no shared_ptr. The caller holds a ReadSection of grace_, which keeps
+  /// the returned cache and `*state` alive until it closes.
+  AsyncScr* FindReadyAsync(const std::string& key,
+                           const TemplateState** state) const;
+
+  /// Rebuilds `shard`'s published view from its `templates` map and
+  /// returns the view it replaced. The caller frees that only after
+  /// releasing shard.mu and calling grace_.Synchronize().
+  std::unique_ptr<const TemplateView> PublishLocked(Shard& shard)
+      REQUIRES(shard.mu);
   /// Snapshot of every live template state (one shard locked at a time).
   std::vector<StatePtr> AllStates() const;
 
@@ -219,15 +258,27 @@ class PqoManager {
   /// Enforces global_plan_budget / global_memory_bytes by evicting the
   /// globally least-used plan until within budget. `current` (may be null)
   /// is the template that served the in-flight instance; within it the
-  /// plan with `pinned_signature` is never evicted.
-  void EnforceGlobalBudget(TemplateState* current, uint64_t pinned_signature,
-                           int instance_id) EXCLUDES(evict_mu_);
+  /// plan with `pinned_signature` is never evicted. `current` is compared
+  /// by address only, never dereferenced: the warm route passes it after
+  /// its read section closed, when the state may already be gone.
+  void EnforceGlobalBudget(const TemplateState* current,
+                           uint64_t pinned_signature, int instance_id)
+      EXCLUDES(evict_mu_);
+
+  /// The budget step after a served instance: enforces the global budget
+  /// when the instance was optimized and a budget is configured.
+  void EnforceBudgetAfter(const PlanChoice& choice,
+                          const TemplateState* current, int instance_id)
+      EXCLUDES(evict_mu_);
 
   /// Immutable after construction; read lock-free everywhere.
   const PqoManagerOptions options_;
   /// The shard vector itself is immutable after construction (each Shard
   /// carries its own mutex for its contents).
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Read sections of the warm route; writers that unpublish a view or a
+  /// state Synchronize on it before freeing them.
+  GracePeriod grace_;
 
   /// Serializes global-budget sweeps so concurrent optimizing threads do
   /// not race each other into over-eviction. Ordering: evict_mu_ is taken

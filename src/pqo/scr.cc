@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -64,7 +65,17 @@ int64_t InstanceEntryBytes(int dimensions) {
          static_cast<int64_t>(sizeof(Scr::InstanceMeta));
 }
 
-Scr::Scr(ScrOptions options) : options_(options) {
+namespace {
+std::string ScrName(const ScrOptions& options) {
+  std::ostringstream os;
+  os << "SCR" << options.lambda;
+  if (options.plan_budget > 0) os << "(k=" << options.plan_budget << ")";
+  if (options.dynamic_lambda) os << "(dyn)";
+  return os.str();
+}
+}  // namespace
+
+Scr::Scr(ScrOptions options) : options_(options), name_(ScrName(options)) {
   SCRPQO_CHECK(options_.lambda >= 1.0, "lambda must be >= 1");
   lambda_r_effective_ = options_.lambda_r >= 1.0
                             ? options_.lambda_r
@@ -133,7 +144,7 @@ void Scr::EmitEvent(DecisionEvent event, int instance_id,
   if (counter != nullptr) counter->Increment();
   if (obs_.tracer == nullptr) return;
   event.instance_id = instance_id;
-  event.technique = name();
+  event.technique = name_;
   event.template_key = scope_label_;
   event.wall_micros = ScopedTimer::ElapsedMicros(start);
   // Per-instance decisions carry the ambient span's stage breakdown;

@@ -10,7 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/atomics.h"
@@ -74,13 +74,9 @@ class Scr : public PqoTechnique {
  public:
   explicit Scr(ScrOptions options);
 
-  std::string name() const override {
-    std::ostringstream os;
-    os << "SCR" << options_.lambda;
-    if (options_.plan_budget > 0) os << "(k=" << options_.plan_budget << ")";
-    if (options_.dynamic_lambda) os << "(dyn)";
-    return os.str();
-  }
+  /// "SCR<lambda>", plus "(k=<budget>)" and "(dyn)" when set. Built once
+  /// in the constructor: every traced decision stamps it.
+  std::string name() const override { return name_; }
 
   PlanChoice OnInstance(const WorkloadInstance& wi,
                         EngineContext* engine) override;
@@ -265,7 +261,9 @@ class Scr : public PqoTechnique {
   void EmitEvent(DecisionEvent event, int instance_id,
                  std::chrono::steady_clock::time_point start);
 
-  ScrOptions options_;
+  const ScrOptions options_;
+  /// name(), formatted from options_ at construction.
+  const std::string name_;
   /// Stamped into DecisionEvent::template_key (empty = unscoped).
   std::string scope_label_;
   double lambda_r_effective_;

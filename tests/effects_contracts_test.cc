@@ -17,12 +17,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/grace_period.h"
 #include "common/math_util.h"
 #include "obs/event_ring.h"
+#include "obs/metrics_registry.h"
 #include "optimizer/recost_program.h"
 #include "query/query_instance.h"
 #include "query/selectivity_program.h"
 #include "tests/test_util.h"
+#include "workload/multi_template.h"
 
 namespace scrpqo {
 namespace {
@@ -87,6 +90,19 @@ static_assert(noexcept(std::declval<const SelectivityProgram&>().Evaluate(
               "it before getPlan");
 
 // ---------------------------------------------------------------------------
+// PqoManager warm route. PqoManager::FindReadyAsync is the effect root
+// (HOT / NOALLOC / NONBLOCKING / LOCK_BOUNDED()); the read section around
+// it must not unwind either.
+// ---------------------------------------------------------------------------
+
+static_assert(std::is_nothrow_constructible_v<GracePeriod::ReadSection,
+                                              GracePeriod&>,
+              "entering a GracePeriod read section must stay noexcept: "
+              "every warm PqoManager request opens one");
+static_assert(std::is_nothrow_destructible_v<GracePeriod::ReadSection>,
+              "closing a GracePeriod read section must stay noexcept");
+
+// ---------------------------------------------------------------------------
 // Runtime smoke: the noexcept-pinned functions also behave.
 // ---------------------------------------------------------------------------
 
@@ -143,6 +159,39 @@ TEST(EffectsContracts, SelectivityProgramEvaluateFillsSpan) {
   EXPECT_EQ(out[0], sv[0]);
   EXPECT_EQ(out[1], sv[1]);
   EXPECT_NEAR(out[0], 0.25, 0.05);
+}
+
+TEST(EffectsContracts, WarmAsyncRouteTakesNoShardLock) {
+  // Runtime face of the FindReadyAsync root: once a template's AsyncScr is
+  // ready, requests for it never acquire a shard lock (every acquisition
+  // records into "pqo_manager.shard_lock_wait").
+  TemplateFleet fleet(2, 4);
+  const ServedTemplate& st = fleet.served()[0];
+  PqoManagerOptions opts;
+  opts.use_async = true;
+  opts.num_shards = 1;
+  // Declared before the manager so it outlives the caches' workers.
+  MetricsRegistry registry;
+  PqoManager mgr(opts);
+  mgr.SetObs(ObsHooks{nullptr, &registry});
+  auto shard_locks = [&] {
+    const RegistrySnapshot snap = registry.Snapshot();
+    const HistogramSnapshot* h =
+        snap.FindHistogram("pqo_manager.shard_lock_wait");
+    return h == nullptr ? int64_t{0} : h->count;
+  };
+
+  ASSERT_NE(mgr.OnInstance(st.key, (*st.instances)[0], st.engine).plan,
+            nullptr);
+  mgr.FlushAll();
+  const int64_t cold_locks = shard_locks();
+  EXPECT_GT(cold_locks, 0);
+  for (int i = 0; i < 64; ++i) {
+    const WorkloadInstance& wi =
+        (*st.instances)[static_cast<size_t>(i) % st.instances->size()];
+    EXPECT_NE(mgr.OnInstance(st.key, wi, st.engine).plan, nullptr);
+  }
+  EXPECT_EQ(shard_locks(), cold_locks);
 }
 
 }  // namespace

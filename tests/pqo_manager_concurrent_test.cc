@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "verify/guarantee_audit.h"
@@ -243,6 +246,77 @@ TEST(PqoManagerConcurrentTest, StatuszJsonRacesServingAndInvalidation) {
   for (const ServedTemplate& s : served) {
     EXPECT_NE(json.find(s.key), std::string::npos) << s.key;
   }
+}
+
+TEST(PqoManagerConcurrentTest, InvalidateWaitsForParkedWarmMiss) {
+  // A warm request misses and parks inside AsyncScr::OnInstance (in the
+  // optimizer oracle) while another thread invalidates its template. The
+  // template is unlinked at once, but InvalidateTemplate frees the cache
+  // only after the parked call returned its plan; ASan/TSan would flag the
+  // parked call touching a freed cache. Later requests rebuild the
+  // template from scratch.
+  using std::chrono::milliseconds;
+  TemplateFleet fleet(1, 4);
+  const ServedTemplate& st = fleet.served()[0];
+  PqoManagerOptions opts;
+  opts.use_async = true;
+  opts.num_shards = 2;
+  // Declared before the manager so it outlives the caches' workers.
+  MetricsRegistry registry;
+  PqoManager mgr(opts);
+  mgr.SetObs(ObsHooks{nullptr, &registry});
+
+  // The first request builds the template on the cold route; dropping its
+  // one deferred manageCache leaves the cache empty, so the next request
+  // is a guaranteed miss on the warm route.
+  FaultSpec once;
+  once.trigger = FaultTrigger::kOneShot;
+  FaultRegistry::Global().Arm(faults::kAsyncTaskFail, once);
+  ASSERT_NE(mgr.OnInstance(st.key, (*st.instances)[0], st.engine).plan,
+            nullptr);
+  mgr.FlushAll();
+  FaultRegistry::Global().DisarmAll();
+  ASSERT_EQ(mgr.TotalPlansCached(), 0);
+
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  const Optimizer& optimizer = st.engine->optimizer();
+  st.engine->SetOracle([&](const WorkloadInstance& wi) {
+    parked.store(true);
+    while (!release.load()) std::this_thread::sleep_for(milliseconds(1));
+    return std::make_shared<const OptimizationResult>(
+        optimizer.OptimizeWithSVector(wi.instance, wi.svector));
+  });
+
+  PlanChoice parked_choice;
+  std::thread server([&] {
+    parked_choice = mgr.OnInstance(st.key, (*st.instances)[1], st.engine);
+  });
+  while (!parked.load()) std::this_thread::sleep_for(milliseconds(1));
+
+  std::atomic<bool> invalidated{false};
+  std::thread invalidator([&] {
+    mgr.InvalidateTemplate(st.key);
+    invalidated.store(true);
+  });
+  while (mgr.NumTemplates() != 0) std::this_thread::sleep_for(milliseconds(1));
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(invalidated.load())
+      << "InvalidateTemplate returned while a call was parked in its cache";
+
+  release.store(true);
+  server.join();
+  invalidator.join();
+  st.engine->SetOracle(nullptr);
+  EXPECT_TRUE(parked_choice.optimized);
+  EXPECT_NE(parked_choice.plan, nullptr);
+
+  EXPECT_NE(mgr.OnInstance(st.key, (*st.instances)[2], st.engine).plan,
+            nullptr);
+  EXPECT_EQ(mgr.NumTemplates(), 1);
+  auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.CounterValue("pqo_manager.templates"), 2);
+  EXPECT_EQ(snap.CounterValue("pqo_manager.invalidations"), 1);
 }
 
 TEST(PqoManagerConcurrentTest, ShardLockWaitHistogramPopulated) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "obs/trace.h"
 #include "pqo/scr.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
@@ -317,6 +318,41 @@ TEST_F(ScrTest, NameReflectsConfiguration) {
   EXPECT_EQ(Scr(ScrOptions{.lambda = 1.1}).name(), "SCR1.1");
   Scr budget(ScrOptions{.lambda = 2.0, .plan_budget = 5});
   EXPECT_EQ(budget.name(), "SCR2(k=5)");
+}
+
+TEST_F(ScrTest, TracedTechniqueSpellingsAreStable) {
+  // The name is built once at construction; every traced decision must
+  // still carry the exact JSONL `technique` spellings trace consumers
+  // (guarantee_audit, trace_summarize) have always seen.
+  struct Case {
+    ScrOptions options;
+    const char* technique;
+  };
+  const Case cases[] = {
+      {ScrOptions{.lambda = 2.0}, "SCR2"},
+      {ScrOptions{.lambda = 2.0, .plan_budget = 3}, "SCR2(k=3)"},
+      {ScrOptions{.lambda = 1.5, .dynamic_lambda = true}, "SCR1.5(dyn)"},
+      {ScrOptions{.lambda = 2.0, .plan_budget = 4, .dynamic_lambda = true},
+       "SCR2(k=4)(dyn)"},
+  };
+  for (const Case& c : cases) {
+    Scr scr(c.options);
+    EXPECT_EQ(scr.name(), c.technique);
+    Tracer tracer(16);
+    scr.SetObs(ObsHooks{&tracer, nullptr});
+    EngineContext engine(&db_, &optimizer_);
+    (void)scr.OnInstance(MakeWi(0, 0.3, 0.3), &engine);
+    (void)scr.OnInstance(MakeWi(1, 0.3, 0.3), &engine);
+    const std::vector<DecisionEvent> events = tracer.Snapshot();
+    ASSERT_EQ(events.size(), 2u) << c.technique;
+    for (const DecisionEvent& ev : events) {
+      EXPECT_EQ(ev.technique, c.technique);
+      EXPECT_NE(DecisionEventToJsonl(ev).find(
+                    std::string("\"technique\":\"") + c.technique + "\""),
+                std::string::npos)
+          << DecisionEventToJsonl(ev);
+    }
+  }
 }
 
 /// Lambda sweep property: the guarantee machinery works at every bound.
