@@ -8,14 +8,21 @@
 //                Record takes one global lock)
 //   - spsc:      RingTracer (per-thread SPSC rings + exporter thread) +
 //                MetricsRegistry — the serving default
-// and the raw Record primitive single-threaded and with 4 contending
-// producers, where the lock-free rings are supposed to earn their keep.
+// the same disabled/spsc pair with 3 producer threads, each running its
+// own warmed Scr against ONE shared registry and tracer (the case where
+// shared metric cache lines would bounce between cores; one thread cannot
+// see it), and the raw Record primitive single-threaded and with 4
+// contending producers, where the lock-free rings are supposed to earn
+// their keep.
 //
 // Emits machine-readable BENCH_obs.json (baseline kept in
-// bench/baselines/). The CI gate is relative, not absolute: the SPSC
-// enabled-path overhead over disabled must not exceed the legacy mutexed
-// overhead (--max-overhead-ratio=1.0), so the serving default can never
-// regress below the fallback it replaced.
+// bench/baselines/). Two CI gates:
+//   - relative: the SPSC enabled-path overhead over disabled must not
+//     exceed the legacy mutexed overhead (--max-overhead-ratio=1.0), so
+//     the serving default can never regress below the fallback it
+//     replaced;
+//   - absolute: enabled ns / disabled ns, single-threaded and with 3
+//     producers, must each stay under --max-enabled-ratio.
 //
 // Flags:
 //   --out=PATH                output JSON path (default BENCH_obs.json)
@@ -24,7 +31,11 @@
 //                             (tolerance absorbs shared-runner noise on
 //                             overheads that are deltas of ~microsecond
 //                             measurements)
+//   --max-enabled-ratio=R     exit non-zero unless spsc_ns / disabled_ns
+//                             <= R and, with 3 producers,
+//                             enabled_ns / disabled_ns <= R
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -92,26 +103,90 @@ struct Fixture {
     oracle = Oracle::Build(*optimizer, instances);
   }
 
-  /// Steady-state getPlan ns/op under `hooks` (null = obs disabled): warm
-  /// the cache on every instance first, then time replaying the same
-  /// instance set (all reuse decisions, no cache growth).
-  double GetPlanNs(const ObsHooks* hooks) {
-    Scr scr((ScrOptions()));
-    if (hooks != nullptr) scr.SetObs(*hooks);
-    EngineContext engine(&db.db, optimizer.get());
-    engine.SetOracle(
-        [this](const WorkloadInstance& wi) { return oracle.result(wi.id); });
-    for (const WorkloadInstance& wi : instances) {
-      scr.OnInstance(wi, &engine);
+  /// One producer's private SCR cache and engine, warmed on every
+  /// instance (so the timed replay is all reuse decisions, no cache
+  /// growth), reporting to `hooks` (null = obs disabled).
+  struct Producer {
+    Scr scr{ScrOptions()};
+    EngineContext engine;
+
+    Producer(Fixture& f, const ObsHooks* hooks)
+        : engine(&f.db.db, f.optimizer.get()) {
+      if (hooks != nullptr) scr.SetObs(*hooks);
+      engine.SetOracle(
+          [&f](const WorkloadInstance& wi) { return f.oracle.result(wi.id); });
+      for (const WorkloadInstance& wi : f.instances) {
+        scr.OnInstance(wi, &engine);
+      }
     }
-    const double n = static_cast<double>(instances.size());
-    return TimeNsPerOp([&] {
-             for (const WorkloadInstance& wi : instances) {
-               PlanChoice c = scr.OnInstance(wi, &engine);
-               if (c.plan == nullptr) std::abort();
-             }
-           }) /
-           n;
+
+    /// One replay of the whole instance set.
+    void Pass(const std::vector<WorkloadInstance>& instances) {
+      for (const WorkloadInstance& wi : instances) {
+        PlanChoice c = scr.OnInstance(wi, &engine);
+        if (c.plan == nullptr) std::abort();
+      }
+    }
+  };
+
+  /// Steady-state getPlan ns/op under `hooks`, one thread.
+  double GetPlanNs(const ObsHooks* hooks) {
+    Producer p(*this, hooks);
+    return TimeNsPerOp([&] { p.Pass(instances); }) /
+           static_cast<double>(instances.size());
+  }
+
+  /// Steady-state getPlan ns/op per thread with `threads` producers
+  /// replaying at once, all reporting to the same `hooks`. Each round
+  /// starts the producers together and takes the slowest one's time;
+  /// the minimum over rounds is reported.
+  double ConcurrentGetPlanNs(const ObsHooks* hooks, int threads) {
+    std::vector<std::unique_ptr<Producer>> producers;
+    for (int t = 0; t < threads; ++t) {
+      producers.push_back(std::make_unique<Producer>(*this, hooks));
+    }
+    // Passes per round: about 10 ms of single-thread work.
+    int64_t passes = 1;
+    for (;;) {
+      auto t0 = std::chrono::steady_clock::now();
+      for (int64_t i = 0; i < passes; ++i) producers[0]->Pass(instances);
+      double ns = std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      if (ns >= 1e7) break;
+      passes *= 2;
+    }
+    double best = 1e18;
+    for (int round = 0; round < 16; ++round) {
+      std::atomic<int> ready{0};
+      std::atomic<bool> go{false};
+      std::vector<double> elapsed(static_cast<size_t>(threads));
+      std::vector<std::thread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (!go.load(std::memory_order_acquire)) {
+          }
+          auto t0 = std::chrono::steady_clock::now();
+          for (int64_t i = 0; i < passes; ++i) {
+            producers[static_cast<size_t>(t)]->Pass(instances);
+          }
+          elapsed[static_cast<size_t>(t)] =
+              std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+        });
+      }
+      while (ready.load() < threads) {
+      }
+      go.store(true, std::memory_order_release);
+      for (std::thread& th : pool) th.join();
+      const double slowest = *std::max_element(elapsed.begin(), elapsed.end());
+      best = std::min(best, slowest / static_cast<double>(
+                                          passes * static_cast<int64_t>(
+                                                       instances.size())));
+    }
+    return best;
   }
 };
 
@@ -137,7 +212,7 @@ double ContendedRecordNs(Tracer& tracer, int threads) {
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&tracer] {
         DecisionEvent ev = BenchEvent();
-        for (int i = 0; i < kPerThread; ++i) tracer.Record(ev);
+        for (int i = 0; i < kPerThread; ++i) tracer.Record(DecisionEvent(ev));
       });
     }
     for (std::thread& w : workers) w.join();
@@ -154,11 +229,14 @@ double ContendedRecordNs(Tracer& tracer, int threads) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   double max_overhead_ratio = 0.0;
+  double max_enabled_ratio = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--max-overhead-ratio=", 21) == 0) {
       max_overhead_ratio = std::atof(argv[i] + 21);
+    } else if (std::strncmp(argv[i], "--max-enabled-ratio=", 20) == 0) {
+      max_enabled_ratio = std::atof(argv[i] + 20);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -210,6 +288,29 @@ int main(int argc, char** argv) {
               disabled_ns, mutex_ns, mutex_overhead, spsc_ns,
               spsc_overhead);
 
+  // Three producers, one registry and one tracer: disabled and enabled
+  // measured interleaved like the single-thread pair above.
+  constexpr int kProducers = 3;
+  double disabled_3p_ns = 1e18;
+  double enabled_3p_ns = 1e18;
+  for (int round = 0; round < 3; ++round) {
+    disabled_3p_ns =
+        std::min(disabled_3p_ns, f.ConcurrentGetPlanNs(nullptr, kProducers));
+    RingTracer::Options opts;
+    opts.ring_capacity = 1 << 14;
+    opts.window_capacity = 1 << 12;
+    RingTracer tracer(opts);
+    MetricsRegistry registry;
+    ObsHooks hooks{&tracer, &registry};
+    enabled_3p_ns =
+        std::min(enabled_3p_ns, f.ConcurrentGetPlanNs(&hooks, kProducers));
+  }
+  const double ratio_1t = spsc_ns / disabled_ns;
+  const double ratio_3p = enabled_3p_ns / disabled_3p_ns;
+  std::printf("getPlan x%d producers: disabled=%.1fns enabled=%.1fns "
+              "(%.2fx; 1 thread %.2fx)\n",
+              kProducers, disabled_3p_ns, enabled_3p_ns, ratio_3p, ratio_1t);
+
   double record_mutex_1t, record_spsc_1t, record_mutex_4t, record_spsc_4t;
   {
     Tracer tracer(1 << 16);
@@ -235,13 +336,16 @@ int main(int argc, char** argv) {
                "{\n  \"bench\": \"micro_obs_overhead\",\n"
                "  \"get_plan\": {\"disabled_ns\": %.2f, \"mutex_ns\": %.2f, "
                "\"spsc_ns\": %.2f, \"mutex_overhead_ns\": %.2f, "
-               "\"spsc_overhead_ns\": %.2f},\n"
+               "\"spsc_overhead_ns\": %.2f, \"enabled_ratio\": %.3f},\n"
+               "  \"get_plan_3producers\": {\"disabled_ns\": %.2f, "
+               "\"enabled_ns\": %.2f, \"enabled_ratio\": %.3f},\n"
                "  \"record_1thread\": {\"mutex_ns\": %.2f, \"spsc_ns\": "
                "%.2f},\n"
                "  \"record_4threads\": {\"mutex_ns\": %.2f, \"spsc_ns\": "
                "%.2f}\n}\n",
                disabled_ns, mutex_ns, spsc_ns, mutex_overhead,
-               spsc_overhead, record_mutex_1t, record_spsc_1t,
+               spsc_overhead, ratio_1t, disabled_3p_ns, enabled_3p_ns,
+               ratio_3p, record_mutex_1t, record_spsc_1t,
                record_mutex_4t, record_spsc_4t);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
@@ -263,6 +367,17 @@ int main(int argc, char** argv) {
     }
     std::printf("gate OK: spsc overhead %.1fns <= budget %.1fns\n",
                 spsc_overhead, budget);
+  }
+  if (max_enabled_ratio > 0.0) {
+    if (ratio_1t > max_enabled_ratio || ratio_3p > max_enabled_ratio) {
+      std::fprintf(stderr,
+                   "FAIL: enabled/disabled getPlan %.2fx (1 thread) / "
+                   "%.2fx (%d producers) exceeds %.2fx\n",
+                   ratio_1t, ratio_3p, kProducers, max_enabled_ratio);
+      return 1;
+    }
+    std::printf("gate OK: enabled/disabled %.2fx / %.2fx <= %.2fx\n",
+                ratio_1t, ratio_3p, max_enabled_ratio);
   }
   return 0;
 }

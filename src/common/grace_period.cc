@@ -7,18 +7,8 @@
 
 namespace scrpqo {
 
-namespace grace_period_internal {
-
-int AssignStripe() {
-  static std::atomic<uint32_t> next{0};
-  return static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
-                          GracePeriod::kStripes);
-}
-
-}  // namespace grace_period_internal
-
 void GracePeriod::Synchronize() {
-  SCRPQO_CHECK(grace_period_internal::tls_slot.open_sections == 0,
+  SCRPQO_CHECK(grace_period_internal::tls_open_sections == 0,
                "GracePeriod::Synchronize called inside a read section");
   MutexLock lock(sync_mu_);
   const uint64_t flips = epoch_.load(std::memory_order_relaxed);

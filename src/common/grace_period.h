@@ -34,29 +34,22 @@
 #include <cstdint>
 
 #include "common/thread_annotations.h"
+#include "common/thread_slot.h"
 
 namespace scrpqo {
 
 namespace grace_period_internal {
 
-/// Per-thread state shared by every GracePeriod: the thread's stripe
-/// (assigned round-robin on first use) and how many read sections it has
-/// open, which Synchronize checks is zero.
-struct ThreadSlot {
-  int stripe = -1;
-  int open_sections = 0;
-};
-inline constinit thread_local ThreadSlot tls_slot;
-
-/// Assigns the calling thread its stripe; out of line because it runs
-/// once per thread.
-int AssignStripe();
+/// Read sections the calling thread has open, which Synchronize checks is
+/// zero.
+inline constinit thread_local int tls_open_sections = 0;
 
 }  // namespace grace_period_internal
 
 class GracePeriod {
  public:
-  /// Stripes of reader counters. Threads beyond this share stripes (still
+  /// Stripes of reader counters, indexed by the thread's slot
+  /// (common/thread_slot.h). Threads beyond this share stripes (still
   /// correct, only less private).
   static constexpr int kStripes = 32;
 
@@ -71,7 +64,7 @@ class GracePeriod {
     explicit ReadSection(GracePeriod& gp) noexcept : counter_(gp.Enter()) {}
     ~ReadSection() {
       counter_->fetch_sub(1, std::memory_order_release);
-      --grace_period_internal::tls_slot.open_sections;
+      --grace_period_internal::tls_open_sections;
     }
 
     ReadSection(const ReadSection&) = delete;
@@ -95,16 +88,13 @@ class GracePeriod {
   };
 
   std::atomic<int64_t>* Enter() noexcept {
-    grace_period_internal::ThreadSlot& slot = grace_period_internal::tls_slot;
-    if (slot.stripe < 0) [[unlikely]] {
-      slot.stripe = grace_period_internal::AssignStripe();
-    }
-    ++slot.open_sections;
+    const unsigned stripe = ThisThreadSlot() % kStripes;
+    ++grace_period_internal::tls_open_sections;
     // The parity is only a hint that steers new readers away from the
     // parity a writer is draining; Synchronize scans both, so a stale
     // value is still correct.
     const uint64_t parity = epoch_.load(std::memory_order_relaxed) & 1u;
-    std::atomic<int64_t>* counter = &stripes_[slot.stripe].readers[parity];
+    std::atomic<int64_t>* counter = &stripes_[stripe].readers[parity];
     counter->fetch_add(1, std::memory_order_seq_cst);
     return counter;
   }

@@ -15,9 +15,11 @@
 
 namespace scrpqo {
 
-/// Records `event` against `tracer`; a null tracer drops the event (the
-/// standard "tracing disabled" fast path, one branch).
-inline void EmitDecisionEvent(Tracer* tracer, DecisionEvent event) {
+/// Moves `event` into `tracer`; a null tracer drops the event (the
+/// standard "tracing disabled" fast path, one branch). Every hop from the
+/// emitter to the ring slot takes the event by rvalue reference, so it is
+/// moved exactly once, into its slot.
+inline void EmitDecisionEvent(Tracer* tracer, DecisionEvent&& event) {
   if (tracer == nullptr) return;
   tracer->Record(std::move(event));
 }

@@ -39,13 +39,14 @@ class SpscEventRing {
 
   size_t capacity() const { return slots_.size(); }
 
-  /// Producer side. Returns false (and counts a drop) when full.
+  /// Producer side: moves `event` into the next slot. Returns false (and
+  /// counts a drop, leaving `event` untouched) when full.
   /// Wait-free: two atomic loads, one slot move, one release store —
   /// proved alloc-free and non-blocking by the effect analyzer; noexcept
   /// because DecisionEvent's members are all nothrow-movable.
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_NOTHROW
   SCRPQO_LOCK_BOUNDED()
-  bool TryPush(DecisionEvent event) noexcept {
+  bool TryPush(DecisionEvent&& event) noexcept {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     const uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) {

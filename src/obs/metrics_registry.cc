@@ -49,6 +49,18 @@ double Gauge::value() const {
   return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
 }
 
+int64_t Counter::value() const {
+  int64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+static_assert(sizeof(LogHistogram) == kMetricStripes * 33 * 64,
+              "LogHistogram stripe layout changed: update the byte counts "
+              "in metrics_registry.h and DESIGN.md");
+
 int LogHistogram::BucketFor(double value) {
   if (!(value >= 1.0)) return 0;  // [0,1) plus NaN/negatives
   int b = 1 + static_cast<int>(std::floor(8.0 * std::log2(value)));
@@ -64,14 +76,42 @@ double LogHistogram::BucketMid(int bucket) {
 void LogHistogram::Record(double value) {
   if (std::isnan(value)) return;
   if (value < 0.0) value = 0.0;
-  buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&sum_bits_, value);
-  AtomicMaxDouble(&max_bits_, value);
+  Stripe& stripe = stripes_[MetricStripe()];
+  stripe.buckets[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
+  stripe.count.fetch_add(1, std::memory_order_relaxed);
+  AtomicAddDouble(&stripe.sum_bits, value);
+  AtomicMaxDouble(&stripe.max_bits, value);
 }
 
-double LogHistogram::Percentile(double p) const {
-  int64_t n = count();
+struct LogHistogram::Merged {
+  int64_t count = 0;
+  double sum = 0.0;
+  double max = 0.0;
+  int64_t buckets[kNumBuckets] = {};
+
+  double Percentile(double p) const;
+  double mean() const {
+    return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  }
+};
+
+LogHistogram::Merged LogHistogram::Merge() const {
+  Merged m;
+  for (const Stripe& stripe : stripes_) {
+    m.count += stripe.count.load(std::memory_order_relaxed);
+    m.sum += std::bit_cast<double>(
+        stripe.sum_bits.load(std::memory_order_relaxed));
+    m.max = std::max(m.max, std::bit_cast<double>(stripe.max_bits.load(
+                                std::memory_order_relaxed)));
+    for (int b = 0; b < kNumBuckets; ++b) {
+      m.buckets[b] += stripe.buckets[b].load(std::memory_order_relaxed);
+    }
+  }
+  return m;
+}
+
+double LogHistogram::Merged::Percentile(double p) const {
+  const int64_t n = count;
   if (n <= 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   // Target rank in [1, n]; walk cumulative bucket counts.
@@ -80,40 +120,61 @@ double LogHistogram::Percentile(double p) const {
                                                  static_cast<double>(n))));
   int64_t cumulative = 0;
   for (int b = 0; b < kNumBuckets; ++b) {
-    cumulative += buckets_[b].load(std::memory_order_relaxed);
+    cumulative += buckets[b];
     if (cumulative >= target) {
       // When the rank lands in the bucket holding the largest recorded
       // value (cumulative already covers all n records), the exact tracked
       // max is strictly better information than the bucket midpoint. This
       // also makes single-value histograms and p100 exact.
-      if (cumulative >= n || b == kNumBuckets - 1) return max_value();
-      return std::min(BucketMid(b), max_value());
+      if (cumulative >= n || b == kNumBuckets - 1) return max;
+      return std::min(BucketMid(b), max);
     }
   }
-  return max_value();
+  return max;
+}
+
+int64_t LogHistogram::count() const {
+  int64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.count.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+int64_t LogHistogram::BucketCount(int bucket) const {
+  if (bucket < 0 || bucket >= kNumBuckets) return 0;
+  int64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.buckets[bucket].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+double LogHistogram::Percentile(double p) const {
+  return Merge().Percentile(p);
 }
 
 double LogHistogram::max_value() const {
-  uint64_t bits = max_bits_.load(std::memory_order_relaxed);
-  return std::bit_cast<double>(bits);
+  double max = 0.0;
+  for (const Stripe& stripe : stripes_) {
+    max = std::max(max, std::bit_cast<double>(
+                            stripe.max_bits.load(std::memory_order_relaxed)));
+  }
+  return max;
 }
 
-double LogHistogram::mean() const {
-  int64_t n = count();
-  if (n <= 0) return 0.0;
-  return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed)) /
-         static_cast<double>(n);
-}
+double LogHistogram::mean() const { return Merge().mean(); }
 
 HistogramSnapshot LogHistogram::Snapshot(const std::string& name) const {
+  const Merged m = Merge();
   HistogramSnapshot s;
   s.name = name;
-  s.count = count();
-  s.p50 = Percentile(50.0);
-  s.p90 = Percentile(90.0);
-  s.p99 = Percentile(99.0);
-  s.mean = mean();
-  s.max = max_value();
+  s.count = m.count;
+  s.p50 = m.Percentile(50.0);
+  s.p90 = m.Percentile(90.0);
+  s.p99 = m.Percentile(99.0);
+  s.mean = m.mean();
+  s.max = m.max;
   return s;
 }
 

@@ -82,7 +82,7 @@ std::shared_ptr<RingTracer::ThreadRing> RingTracer::RegisterThisThread() {
   return ring;
 }
 
-void RingTracer::Record(DecisionEvent event) {
+void RingTracer::Record(DecisionEvent&& event) {
   for (const RingHandle& h : t_ring_handles) {
     if (h.tracer_id == tracer_id_) {
       h.ring->TryPush(std::move(event));

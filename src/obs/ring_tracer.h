@@ -50,7 +50,7 @@ class RingTracer : public Tracer {
 
   /// Lock-free enqueue onto the calling thread's ring (registers the
   /// ring on this thread's first Record against this tracer).
-  void Record(DecisionEvent event) override;
+  void Record(DecisionEvent&& event) override;
 
   /// Events exported so far (drained, seq-stamped, and fanned out).
   /// Record attempts = total_recorded() + dropped() + still-buffered.

@@ -293,7 +293,7 @@ Result<DecisionEvent> DecisionEventFromJsonl(const std::string& line) {
 
 Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void Tracer::Record(DecisionEvent event) {
+void Tracer::Record(DecisionEvent&& event) {
   MutexLock lock(mu_);
   event.seq = next_seq_++;
   if (ring_.size() < capacity_) {

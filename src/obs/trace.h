@@ -133,8 +133,9 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Records an event (assigns `seq`). Thread-safe.
-  virtual void Record(DecisionEvent event) EXCLUDES(mu_);
+  /// Records an event (assigns `seq`), moving it into the ring.
+  /// Thread-safe.
+  virtual void Record(DecisionEvent&& event) EXCLUDES(mu_);
 
   size_t capacity() const { return capacity_; }
 

@@ -1,8 +1,7 @@
 #include "pqo/async_scr.h"
 
-#include <chrono>
-
 #include "common/fault_injection.h"
+#include "obs/span.h"
 
 namespace scrpqo {
 
@@ -89,7 +88,9 @@ void AsyncScr::SetObs(const ObsHooks& hooks) {
     lock_exclusive_ = nullptr;
     tasks_dropped_ = nullptr;
   }
-  span_enabled_.store(hooks.tracer != nullptr, std::memory_order_relaxed);
+  // Any attached sink needs the span: it owns the decision's clock.
+  span_enabled_.store(hooks.tracer != nullptr || hooks.metrics != nullptr,
+                      std::memory_order_relaxed);
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED(cache_mu_)
@@ -125,8 +126,7 @@ PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
         probe.cost_check_candidates_in_get_plan;
     WriterMutexLock cache_lock(cache_mu_);
     if (lock_exclusive_ != nullptr) lock_exclusive_->Increment();
-    inner_.ServeDegraded(wi, engine, &degraded,
-                         std::chrono::steady_clock::now());
+    inner_.ServeDegraded(wi, engine, &degraded, SpanNow());
     return degraded;
   }
   PlanChoice choice;

@@ -149,8 +149,8 @@ class AsyncScr : public PqoTechnique {
   /// Deferred manageCache tasks dropped by the async_scr.task_fail fault
   /// point ("async_scr.tasks_dropped").
   Counter* tasks_dropped_ GUARDED_BY(cache_mu_) = nullptr;
-  /// Whether getPlan spans are collected (tracer attached). Atomic: read
-  /// on every OnInstance and by the worker, written by SetObs.
+  /// Whether getPlan spans are opened (tracer or registry attached).
+  /// Atomic: read on every OnInstance and by the worker, written by SetObs.
   std::atomic<bool> span_enabled_{false};
   /// "Async" + inner name; immutable after the constructor.
   std::string name_;

@@ -128,8 +128,11 @@ class EngineContext {
   /// (see RecostBundle::EvalMany). Each visited plan is charged as one
   /// Recost call; the whole batch records one latency sample
   /// ("engine.recost_batch_micros") and lands in the span's batch_recost
-  /// stage. The caller owns the bundle (PlanStore) and must hold its
-  /// shared lock across the call.
+  /// stage. Inside a span the sample starts at the span's latest boundary
+  /// (on the reuse path, the end of the selectivity check, so it covers
+  /// candidate ordering too) and its end is the next boundary: one clock
+  /// read per batch. The caller owns the bundle (PlanStore) and must hold
+  /// its shared lock across the call.
   template <typename Visitor>
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
   SCRPQO_LOCK_BOUNDED()

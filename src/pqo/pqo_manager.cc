@@ -43,7 +43,9 @@ void PqoManager::SetObs(const ObsHooks& hooks) {
   {
     MutexLock obs_lock(obs_mu_);
     obs_ = hooks;
-    span_enabled_.store(hooks.tracer != nullptr, std::memory_order_relaxed);
+    // Any attached sink needs the span: it owns the decision's clock.
+    span_enabled_.store(hooks.tracer != nullptr || hooks.metrics != nullptr,
+                        std::memory_order_relaxed);
     if (hooks.metrics != nullptr) {
       shard_lock_wait_.store(
           hooks.metrics->histogram("pqo_manager.shard_lock_wait"),

@@ -301,8 +301,8 @@ class PqoManager {
   // documented order is st->mu before obs_mu_).
   mutable Mutex obs_mu_;
   ObsHooks obs_ GUARDED_BY(obs_mu_);
-  /// True when a tracer is attached, so OnInstance knows whether to open a
-  /// getPlan span without taking obs_mu_ on the hot path.
+  /// True when a tracer or registry is attached, so OnInstance knows
+  /// whether to open a getPlan span without taking obs_mu_ on the hot path.
   std::atomic<bool> span_enabled_{false};
   std::atomic<LogHistogram*> shard_lock_wait_{nullptr};
   std::atomic<Counter*> templates_created_{nullptr};

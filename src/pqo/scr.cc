@@ -135,7 +135,7 @@ void Scr::SetObs(const ObsHooks& hooks) {
   }
 }
 
-void Scr::EmitEvent(DecisionEvent event, int instance_id,
+void Scr::EmitEvent(DecisionEvent&& event, int instance_id,
                     std::chrono::steady_clock::time_point start)
     SCRPQO_EFFECT_ALLOW(alloc, "observability emission: only reachable with a tracer/metrics sink attached; the event's string stamps (technique/template key) are bounded and the untraced serving config — the one the arena-watermark test pins — never enters this function")
     SCRPQO_EFFECT_ALLOW(lock, "capture-side locks only: the production capture path is the wait-free SPSC ring (obs/ring_tracer.h); the mutexed Tracer behind the same funnel is the wire-format reference used by tests and the CLI")
@@ -146,7 +146,7 @@ void Scr::EmitEvent(DecisionEvent event, int instance_id,
   event.instance_id = instance_id;
   event.technique = name_;
   event.template_key = scope_label_;
-  event.wall_micros = ScopedTimer::ElapsedMicros(start);
+  event.wall_micros = MicrosBetween(start, SpanNow());
   // Per-instance decisions carry the ambient span's stage breakdown;
   // meta events (evictions) don't — their timing belongs to the decision
   // that triggered them. Open StageTimers must be stopped before emitting
@@ -162,8 +162,8 @@ void Scr::EmitEvent(DecisionEvent event, int instance_id,
 PlanChoice Scr::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // Outermost span for the whole decision (reuse attempt + optimize +
   // manageCache); a no-op when a PqoManager already opened one upstream.
-  GetPlanSpan span(obs_.tracer != nullptr);
-  auto start = std::chrono::steady_clock::now();
+  GetPlanSpan span(SpanEnabled());
+  const std::chrono::steady_clock::time_point start = DecisionStart();
   PlanChoice choice;
   if (TryReuse(wi, engine, &choice)) return choice;
 
@@ -240,8 +240,7 @@ void Scr::RegisterOptimization(
   PlanChoice ignored;
   ignored.recost_calls_in_get_plan = get_plan_recosts;
   ignored.cost_check_candidates_in_get_plan = get_plan_candidates;
-  ManageCache(wi, std::move(result), engine, &ignored,
-              std::chrono::steady_clock::now());
+  ManageCache(wi, std::move(result), engine, &ignored, DecisionStart());
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
@@ -250,9 +249,10 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   // Standalone reuse attempts (AsyncScr's critical path) get their own
   // span here; when Scr::OnInstance or a PqoManager opened one already
   // this is a no-op and stages accumulate into the outer breakdown.
-  GetPlanSpan span(obs_.tracer != nullptr);
-  std::chrono::steady_clock::time_point start{};
-  if (obs_.tracer != nullptr) start = std::chrono::steady_clock::now();
+  // The decision start, the getPlan timer and the first stage timer all
+  // share one clock read: the span's first boundary.
+  GetPlanSpan span(SpanEnabled());
+  const std::chrono::steady_clock::time_point start = DecisionStart();
   ScopedTimer get_plan_timer(get_plan_micros_);
   PlanChoice& choice = *choice_out;
   const SVector& sv = wi.svector;
@@ -601,7 +601,7 @@ void Scr::DropPlanAndEntries(int victim, int instance_id) {
     DecisionEvent ev;
     ev.outcome = DecisionOutcome::kEvicted;
     ev.matched_entry = victim;
-    EmitEvent(std::move(ev), instance_id, std::chrono::steady_clock::now());
+    EmitEvent(std::move(ev), instance_id, DecisionStart());
   }
   // Dropping the instance entries keeps the lambda-optimality guarantee
   // intact (Section 6.3.1): no future inference can use the gone plan.

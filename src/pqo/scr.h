@@ -256,10 +256,24 @@ class Scr : public PqoTechnique {
   /// instance list is compacted in place, keeping the survivors' order.
   void DropPlanAndEntries(int victim, int instance_id);
 
-  /// Stamps technique/instance fields and hands the event to the tracer
-  /// (no-op without one); bumps the matching decision counter.
-  void EmitEvent(DecisionEvent event, int instance_id,
+  /// Stamps technique/instance fields and moves the event into the
+  /// tracer (no-op without one); bumps the matching decision counter.
+  /// The event's wall time runs from `start` to the span's latest
+  /// boundary (obs/span.h).
+  void EmitEvent(DecisionEvent&& event, int instance_id,
                  std::chrono::steady_clock::time_point start);
+
+  /// Start of a traced section: the ambient span's latest boundary when a
+  /// tracer is attached (EmitEvent reads it only then), else no clock read.
+  std::chrono::steady_clock::time_point DecisionStart() const {
+    return obs_.tracer != nullptr ? SpanNow()
+                                  : std::chrono::steady_clock::time_point{};
+  }
+
+  /// Whether getPlan opens a span: any attached sink needs its clock.
+  bool SpanEnabled() const {
+    return obs_.tracer != nullptr || obs_.metrics != nullptr;
+  }
 
   const ScrOptions options_;
   /// name(), formatted from options_ at construction.

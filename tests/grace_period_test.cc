@@ -3,12 +3,14 @@
 // read section. The stress case publishes and frees objects under
 // concurrent readers, so TSan and ASan see any premature free.
 #include "common/grace_period.h"
+#include "common/thread_slot.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +148,26 @@ TEST(GracePeriodTest, PublishedObjectsOutliveTheirReaders) {
   delete published.load();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(gp.epoch(), static_cast<uint64_t>(kSwaps));
+}
+
+// The slot helper GracePeriod and the metrics registry share: stable per
+// thread, distinct across threads.
+TEST(ThreadSlotTest, StablePerThreadDistinctAcrossThreads) {
+  const unsigned mine = ThisThreadSlot();
+  EXPECT_EQ(ThisThreadSlot(), mine);
+  constexpr int kThreads = 8;
+  std::vector<unsigned> slots(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&slots, t] {
+      slots[static_cast<size_t>(t)] = ThisThreadSlot();
+      EXPECT_EQ(ThisThreadSlot(), slots[static_cast<size_t>(t)]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::set<unsigned> distinct(slots.begin(), slots.end());
+  distinct.insert(mine);
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads) + 1);
 }
 
 }  // namespace

@@ -242,13 +242,13 @@ TEST(RingTracerTest, JsonlByteIdenticalToMutexedTracer) {
   }
 
   Tracer mutexed(128);
-  for (const DecisionEvent& e : events) mutexed.Record(e);
+  for (const DecisionEvent& e : events) mutexed.Record(DecisionEvent(e));
 
   RingTracer::Options opts;
   opts.ring_capacity = 128;
   opts.window_capacity = 128;
   RingTracer ring(opts);
-  for (const DecisionEvent& e : events) ring.Record(e);
+  for (const DecisionEvent& e : events) ring.Record(DecisionEvent(e));
   ASSERT_TRUE(ring.Flush().ok());
 
   std::ostringstream via_mutex, via_ring;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "obs/metrics_registry.h"
 #include "obs/scoped_timer.h"
+#include "obs/span.h"
 #include "obs/trace.h"
 #include "pqo/async_scr.h"
 #include "pqo/pcm.h"
@@ -316,6 +318,82 @@ TEST(LogHistogramTest, ConcurrentRecordsCountExactly) {
   EXPECT_EQ(h->count(), 2 * kPerThread);
 }
 
+// Striped metrics: more threads than stripes, so some threads share a
+// stripe and the merge must still see every record exactly once.
+
+/// The value the `i`-th record of writer `t` carries. Integer and dyadic
+/// values keep every partial sum exact, so the merged sum cannot depend on
+/// the order in which stripes are added.
+double StripedValue(int t, int i) {
+  switch ((t + i) % 4) {
+    case 0:
+      return 0.25;  // bucket 0
+    case 1:
+      return static_cast<double>(1 + (i * 7 + t) % 5000);
+    case 2:
+      return static_cast<double>(1 << ((i + t) % 20));
+    default:
+      return 3.5 * static_cast<double>(1 + t);
+  }
+}
+
+TEST(StripedMetricsTest, ConcurrentHistogramMatchesSingleThreadedReference) {
+  constexpr int kThreads = static_cast<int>(kMetricStripes) + 5;
+  constexpr int kPerThread = 4000;
+  LogHistogram reference;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) reference.Record(StripedValue(t, i));
+  }
+  MetricsRegistry registry;
+  LogHistogram* h = registry.histogram("striped");
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([h, t] {
+      for (int i = 0; i < kPerThread; ++i) h->Record(StripedValue(t, i));
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  EXPECT_EQ(h->count(), int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(h->count(), reference.count());
+  for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+    ASSERT_EQ(h->BucketCount(b), reference.BucketCount(b)) << "bucket " << b;
+  }
+  EXPECT_EQ(h->max_value(), reference.max_value());
+  EXPECT_EQ(h->mean(), reference.mean());
+  for (double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_EQ(h->Percentile(p), reference.Percentile(p)) << "p" << p;
+  }
+  HistogramSnapshot got = h->Snapshot("x");
+  HistogramSnapshot want = reference.Snapshot("x");
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.max, want.max);
+}
+
+TEST(StripedMetricsTest, ConcurrentCounterTotalIsExact) {
+  constexpr int kThreads = static_cast<int>(kMetricStripes) + 5;
+  constexpr int kPerThread = 20000;
+  MetricsRegistry registry;
+  Counter* c = registry.counter("striped");
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([c, t] {
+      for (int i = 0; i < kPerThread; ++i) c->Increment(1 + (i + t) % 3);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  int64_t want = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) want += 1 + (i + t) % 3;
+  }
+  EXPECT_EQ(c->value(), want);
+  EXPECT_EQ(registry.Snapshot().CounterValue("striped"), want);
+}
+
 TEST(MetricsRegistryTest, ConcurrentCounterIncrements) {
   MetricsRegistry registry;
   constexpr int kPerThread = 100000;
@@ -555,6 +633,107 @@ TEST_F(ObsIntegrationTest, PcmReportsRecostAndEvents) {
                 registry.Snapshot().CounterValue(
                     "decision.redundant_discards"),
             m.num_opt);
+}
+
+// Shared clock boundaries: every traced decision's stages come from one
+// span clock, so they never sum past its wall time, and warm hits read the
+// clock 3 (selectivity) or 4 (cost) times.
+class SpanClockTest : public ObsIntegrationTest {
+ protected:
+  static int64_t StageSum(const StageBreakdown& stages) {
+    int64_t sum = 0;
+    for (int64_t us : stages.micros) sum += us > 0 ? us : 0;
+    return sum;
+  }
+
+  static std::set<int> StagesRun(const StageBreakdown& stages) {
+    std::set<int> run;
+    for (int i = 0; i < kNumStages; ++i) {
+      if (stages.micros[i] >= 0) run.insert(i);
+    }
+    return run;
+  }
+};
+
+TEST_F(SpanClockTest, HitsCarryParentStagesWithinWallTime) {
+  Tracer tracer(1 << 12);
+  MetricsRegistry registry;
+  Scr scr(ScrOptions{});
+  Run(&scr, &tracer, &registry);
+  const std::set<int> sel_stages = {static_cast<int>(Stage::kSelCheck)};
+  const std::set<int> cost_stages = {static_cast<int>(Stage::kSelCheck),
+                                     static_cast<int>(Stage::kBatchRecost)};
+  int sel_hits = 0;
+  int cost_hits = 0;
+  // Hits run their stages back to back. (A miss nests the redundancy
+  // check's batch_recost inside manage_cache, so its stages may overlap.)
+  for (const DecisionEvent& e : tracer.Snapshot()) {
+    if (e.outcome == DecisionOutcome::kSelCheckHit) {
+      ++sel_hits;
+      EXPECT_EQ(StagesRun(e.stages), sel_stages) << e.instance_id;
+      EXPECT_LE(StageSum(e.stages), e.wall_micros) << e.instance_id;
+    } else if (e.outcome == DecisionOutcome::kCostCheckHit) {
+      ++cost_hits;
+      EXPECT_EQ(StagesRun(e.stages), cost_stages) << e.instance_id;
+      EXPECT_LE(StageSum(e.stages), e.wall_micros) << e.instance_id;
+    }
+  }
+  EXPECT_GT(sel_hits, 0);
+  EXPECT_GT(cost_hits, 0);
+}
+
+TEST_F(SpanClockTest, WarmHitsReadTheClockThreeOrFourTimes) {
+  Tracer tracer(1 << 12);
+  MetricsRegistry registry;
+  Scr scr(ScrOptions{});
+  scr.SetObs(ObsHooks{&tracer, &registry});
+  EngineContext engine(&db_, &optimizer_);
+  engine.SetObs(&registry);
+  engine.SetOracle([this](const WorkloadInstance& wi) {
+    return oracle_.result(wi.id);
+  });
+  std::vector<int> reads(instances_.size(), -1);
+  for (const WorkloadInstance& wi : instances_) {
+    GetPlanSpan span(/*enabled=*/true);
+    (void)scr.OnInstance(wi, &engine);
+    reads[static_cast<size_t>(wi.id)] = span.clock_reads();
+  }
+  int sel_hits = 0;
+  int cost_hits = 0;
+  for (const DecisionEvent& e : tracer.Snapshot()) {
+    const int n = reads[static_cast<size_t>(e.instance_id)];
+    if (e.outcome == DecisionOutcome::kSelCheckHit) {
+      ++sel_hits;
+      EXPECT_EQ(n, 3) << e.instance_id;
+    } else if (e.outcome == DecisionOutcome::kCostCheckHit) {
+      ++cost_hits;
+      EXPECT_EQ(n, 4) << e.instance_id;
+    }
+  }
+  EXPECT_GT(sel_hits, 0);
+  EXPECT_GT(cost_hits, 0);
+  // The getPlan histogram saw every decision.
+  EXPECT_EQ(registry.histogram("scr.get_plan_micros")->count(),
+            static_cast<int64_t>(instances_.size()));
+}
+
+TEST_F(SpanClockTest, DetachedDecisionOpensNoSpan) {
+  Scr scr(ScrOptions{});
+  EngineContext engine(&db_, &optimizer_);
+  engine.SetOracle([this](const WorkloadInstance& wi) {
+    return oracle_.result(wi.id);
+  });
+  for (const WorkloadInstance& wi : instances_) {
+    (void)scr.OnInstance(wi, &engine);
+    EXPECT_EQ(SpanContext::State(), nullptr);
+  }
+  // An enabled span's state is visible while open and gone after.
+  {
+    GetPlanSpan span(/*enabled=*/true);
+    EXPECT_NE(SpanContext::State(), nullptr);
+    EXPECT_EQ(span.clock_reads(), 0);  // opening reads no clock
+  }
+  EXPECT_EQ(SpanContext::State(), nullptr);
 }
 
 TEST_F(ObsIntegrationTest, DisabledObsLeavesChoiceStatsPopulated) {
